@@ -83,7 +83,7 @@ def matrix_lines(matrix) -> list[str]:
     return ["".join(f"{entry:8.3f}" for entry in row) for row in matrix]
 
 
-def write_series_csv(path, series: transform.TransformedSeries) -> None:
+def write_series_csv(path, series: waveform.TransformedSeries) -> None:
     """Write a series as CSV: header row, then %.6f values, comma-separated."""
     header = _CSV_HEADERS[series.frame_kind]
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -195,19 +195,14 @@ def cmd_measure(args) -> int:
     scenario = waveform.load_scenario(args.scenario)
     series = waveform.sample_series(scenario, args.rate, args.periods)
     if args.noise > 0.0:
+        # one sample-major draw: sample i gets draws 3i..3i+2
         rng = np.random.default_rng(args.seed)
-        series = [
-            waveform.SampleFrame(
-                frame.angle, frame.values + rng.normal(0.0, args.noise, size=3)
-            )
-            for frame in series
-        ]
+        noise = rng.normal(0.0, args.noise, size=(len(series), 3))
+        series = waveform.TransformedSeries("abc", series.angles, series.coords + noise.T)
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "V_abc_measured.csv")
-    angles = np.array([frame.angle for frame in series])
-    coords = np.stack([frame.values for frame in series], axis=1)
-    write_series_csv(path, transform.TransformedSeries("abc", angles, coords))
+    write_series_csv(path, series)
 
     e1, e2 = locus.basis_from_stream(series, args.t1_angle)
     measured = transform.assemble(locus.basis_from_vectors(e1, e2, args.t1_angle))

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .waveform import (
-    SampleFrame,
     ScenarioSegment,
+    TransformedSeries,
     evaluate,
     total_phases,
     wrap_angle,
@@ -224,23 +223,23 @@ def build_basis(segment: ScenarioSegment, orientation=PHASE_A_PEAK) -> LocusBasi
     return basis_from_vectors(e1, e2, theta_o)
 
 
-def basis_from_samples(frame1: SampleFrame, frame2: SampleFrame):
+def basis_from_samples(angle1: float, values1, angle2: float, values2):
     """In-plane basis from two measured triples a quarter period apart.
 
-    e1 and e2 are the measured values verbatim; the implied orientation angle
-    is frame1.angle.  Raises NotQuarterPeriodError when the angular separation
-    differs from pi/2 by more than QUARTER_PERIOD_TOL.
+    e1 and e2 are copies of ``values1`` and ``values2``; the implied
+    orientation angle is ``angle1``.  Raises NotQuarterPeriodError when the
+    angular separation differs from pi/2 by more than QUARTER_PERIOD_TOL.
     """
-    gap = frame2.angle - frame1.angle
+    gap = angle2 - angle1
     if abs(gap - 0.5 * math.pi) > QUARTER_PERIOD_TOL:
         raise NotQuarterPeriodError(
-            f"frames are {gap!r} rad apart; expected pi/2 within {QUARTER_PERIOD_TOL}"
+            f"samples are {gap!r} rad apart; expected pi/2 within {QUARTER_PERIOD_TOL}"
         )
-    return frame1.values.copy(), frame2.values.copy()
+    return np.array(values1, dtype=float), np.array(values2, dtype=float)
 
 
-def basis_from_stream(series: Sequence[SampleFrame], t1_angle: float):
-    """Estimate the in-plane basis from a uniformly sampled series.
+def basis_from_stream(series: TransformedSeries, t1_angle: float):
+    """Estimate the in-plane basis from a uniformly sampled abc series.
 
     Linearly interpolates the series at t1_angle and t1_angle + pi/2; the
     implied orientation angle is t1_angle.  The series must cover
@@ -250,7 +249,7 @@ def basis_from_stream(series: Sequence[SampleFrame], t1_angle: float):
     t2_angle = t1_angle + 0.5 * math.pi
     if len(series) < 2:
         raise InsufficientSpanError("series holds fewer than two samples")
-    angles = np.array([frame.angle for frame in series])
+    angles = series.angles
     step = angles[1] - angles[0]
     if step <= 0.0 or np.any(np.abs(np.diff(angles) - step) > 1e-9):
         raise ValueError("series is not uniformly sampled")
@@ -264,7 +263,6 @@ def basis_from_stream(series: Sequence[SampleFrame], t1_angle: float):
             f"series spans [{angles[0]:.6f}, {angles[-1]:.6f}] rad, "
             f"estimation needs [{t1_angle:.6f}, {t2_angle:.6f}]"
         )
-    values = np.stack([frame.values for frame in series], axis=1)
-    e1 = np.array([np.interp(t1_angle, angles, values[k]) for k in range(3)])
-    e2 = np.array([np.interp(t2_angle, angles, values[k]) for k in range(3)])
+    e1 = np.array([np.interp(t1_angle, angles, channel) for channel in series.coords])
+    e2 = np.array([np.interp(t2_angle, angles, channel) for channel in series.coords])
     return e1, e2

@@ -15,10 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .locus import LocusBasis, LocusError, PHASE_A_PEAK, build_basis
-from .waveform import PhasorScenario, evaluate_scenario, sample_angles, segment_at
-
-#: recognized time-series coordinate frames
-FRAME_KINDS = ("abc", "locus123", "clarke_ab0", "dq0")
+from .waveform import (  # FRAME_KINDS and abc_series are re-exported
+    FRAME_KINDS,
+    PhasorScenario,
+    TransformedSeries,
+    evaluate_scenario,
+    sample_angles,
+    sample_series as abc_series,
+    segment_at,
+)
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -41,31 +46,6 @@ class FrameTransform:
     theta_o: float
     det_inverse: float
     normalized: bool = False
-
-
-@dataclass(frozen=True)
-class TransformedSeries:
-    """A coordinate time series: angles (omega*t) and three channels.
-
-    ``coords`` has shape (3, len(angles)); ``frame_kind`` is one of
-    FRAME_KINDS.
-    """
-
-    frame_kind: str
-    angles: np.ndarray
-    coords: np.ndarray
-
-    def __post_init__(self):
-        if self.frame_kind not in FRAME_KINDS:
-            raise ValueError(f"unknown frame kind {self.frame_kind!r}")
-        angles = np.asarray(self.angles, dtype=float)
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (3, angles.size):
-            raise ValueError(f"coords shape {coords.shape} does not match {angles.size} angles")
-        if np.any(np.diff(angles) <= 0.0):
-            raise ValueError("angles must be strictly increasing")
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "coords", coords)
 
 
 def determinant3(m) -> float:
@@ -100,19 +80,6 @@ def adjugate3(m) -> np.ndarray:
             ],
         ]
     )
-
-
-def invert3(m):
-    """Closed-form 3x3 inverse via adjugate over determinant.
-
-    Returns (inverse, determinant).  Raises SingularMatrixError on a zero
-    determinant; callers needing a scale-aware gate must check conditioning
-    themselves.
-    """
-    det = determinant3(m)
-    if det == 0.0:
-        raise SingularMatrixError("matrix determinant is zero")
-    return adjugate3(m) / det, det
 
 
 def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
@@ -215,11 +182,3 @@ def pipeline_clarke_park(
     coords = clarke_matrix() @ evaluate_scenario(scenario, angles)
     series = TransformedSeries("clarke_ab0", angles, coords)
     return series, _with_park(angles, coords)
-
-
-def abc_series(
-    scenario: PhasorScenario, samples_per_period: int = 1000, periods: float = 1.0
-) -> TransformedSeries:
-    """The raw sampled abc coordinates as a series."""
-    angles = sample_angles(samples_per_period, periods)
-    return TransformedSeries("abc", angles, evaluate_scenario(scenario, angles))

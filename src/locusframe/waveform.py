@@ -83,17 +83,36 @@ class PhasorScenario:
         return self.omega / TWO_PI
 
 
-@dataclass(frozen=True)
-class SampleFrame:
-    """One sampled (v_a, v_b, v_c) triple at electrical angle ``angle``."""
+#: recognized time-series coordinate frames
+FRAME_KINDS = ("abc", "locus123", "clarke_ab0", "dq0")
 
-    angle: float
-    values: np.ndarray
+
+@dataclass(frozen=True)
+class TransformedSeries:
+    """A coordinate time series: angles (omega*t) and three channels.
+
+    ``coords`` has shape (3, len(angles)); ``frame_kind`` is one of
+    FRAME_KINDS.  ``len(series)`` is the sample count.
+    """
+
+    frame_kind: str
+    angles: np.ndarray
+    coords: np.ndarray
 
     def __post_init__(self):
-        if self.angle < 0.0:
-            raise ScenarioError(f"sample angle must be >= 0, got {self.angle}")
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.frame_kind not in FRAME_KINDS:
+            raise ValueError(f"unknown frame kind {self.frame_kind!r}")
+        angles = np.asarray(self.angles, dtype=float)
+        coords = np.asarray(self.coords, dtype=float)
+        if coords.shape != (3, angles.size):
+            raise ValueError(f"coords shape {coords.shape} does not match {angles.size} angles")
+        if np.any(np.diff(angles) <= 0.0):
+            raise ValueError("angles must be strictly increasing")
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "coords", coords)
+
+    def __len__(self) -> int:
+        return self.angles.size
 
 
 def total_phases(segment: ScenarioSegment) -> np.ndarray:
@@ -145,29 +164,32 @@ def evaluate_scenario(scenario: PhasorScenario, angles) -> np.ndarray:
 
 
 def sample_angles(samples_per_period: int, periods: float) -> np.ndarray:
-    """Uniform angle grid with step 2pi/samples_per_period covering [0, 2pi*periods]."""
-    steps = math.ceil(samples_per_period * periods - 1e-9)
-    return np.arange(steps + 1) * (TWO_PI / samples_per_period)
+    """Uniform angle grid with step 2pi/samples_per_period covering [0, 2pi*periods].
 
-
-def sample_series(
-    scenario: PhasorScenario, samples_per_period: int, periods: float
-) -> list[SampleFrame]:
-    """Uniformly sampled frames of a scenario.
-
-    The grid step is 2pi/samples_per_period and the grid covers
-    [0, 2pi*periods]; for N samples per period and an integral N*periods the
-    series holds N*periods + 1 frames.
+    Raises ScenarioError for fewer than 4 samples per period or a span that is
+    not positive and finite.
     """
     if samples_per_period < 4:
         raise ScenarioError(
             f"samples_per_period must be at least 4, got {samples_per_period}"
         )
-    if not periods > 0.0:
-        raise ScenarioError(f"periods must be positive, got {periods}")
+    if not 0.0 < periods < math.inf:
+        raise ScenarioError(f"periods must be positive and finite, got {periods}")
+    steps = math.ceil(samples_per_period * periods - 1e-9)
+    return np.arange(steps + 1) * (TWO_PI / samples_per_period)
+
+
+def sample_series(
+    scenario: PhasorScenario, samples_per_period: int = 1000, periods: float = 1.0
+) -> TransformedSeries:
+    """Uniformly sampled abc coordinates of a scenario.
+
+    The grid step is 2pi/samples_per_period and the grid covers
+    [0, 2pi*periods]; for N samples per period and an integral N*periods the
+    series holds N*periods + 1 samples.
+    """
     angles = sample_angles(samples_per_period, periods)
-    values = evaluate_scenario(scenario, angles)
-    return [SampleFrame(angle, values[:, i]) for i, angle in enumerate(angles)]
+    return TransformedSeries("abc", angles, evaluate_scenario(scenario, angles))
 
 
 def _require(mapping, key, where):

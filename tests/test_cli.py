@@ -283,6 +283,23 @@ class TestSimulate:
         assert excinfo.value.code == 2
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rate", "0"], ["--periods", "-1"], ["--periods", "0"], ["--periods", "inf"]],
+        ids=["rate-0", "periods-negative", "periods-0", "periods-inf"],
+    )
+    def test_bad_grid_rejected(self, capsys, scenario_path, tmp_path, flags):
+        code, out, err = _run(
+            capsys, ["simulate", str(scenario_path), *flags, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert out == ""
+        assert list(tmp_path.glob("*.csv")) == []
+
+
 class TestMeasure:
     def test_reproduces_analytic_matrix(self, capsys, scenario_path, tmp_path):
         code, out, _ = _run(
@@ -340,6 +357,26 @@ class TestMeasure:
         _, clean_out, _ = _run(capsys, clean_argv)
         _, noisy_out, _ = _run(capsys, clean_argv + ["--noise", "0.01", "--seed", "3"])
         assert _deviation(noisy_out) > _deviation(clean_out)
+
+
+    def test_noise_draw_order(self, capsys, scenario_path, tmp_path):
+        # sample i of the CSV carries draws 3i..3i+2 of default_rng(seed)
+        argv = ["measure", str(scenario_path)]
+        _run(capsys, argv + ["--out", str(tmp_path / "clean")])
+        code, _, _ = _run(
+            capsys,
+            argv + ["--noise", "0.01", "--seed", "3", "--out", str(tmp_path / "noisy")],
+        )
+        assert code == 0
+        clean = np.loadtxt(tmp_path / "clean" / "V_abc_measured.csv", delimiter=",", skiprows=1)
+        noisy = np.loadtxt(tmp_path / "noisy" / "V_abc_measured.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(noisy[:, 0], clean[:, 0])
+        added = noisy[:, 1:] - clean[:, 1:]
+        n = added.shape[0]
+        expected = np.random.default_rng(3).normal(0.0, 0.01, size=(n, 3))
+        np.testing.assert_allclose(added, expected, rtol=0.0, atol=1e-6)
+        channel_major = np.random.default_rng(3).normal(0.0, 0.01, size=(3, n)).T
+        assert np.max(np.abs(added - channel_major)) > 1e-3
 
 
 def test_matrix_lines_format():

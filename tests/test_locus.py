@@ -13,8 +13,8 @@ from locusframe import (
     MAX_NORM,
     NotQuarterPeriodError,
     PHASE_A_PEAK,
-    SampleFrame,
     ScenarioSegment,
+    TransformedSeries,
     UndefinedOrientationError,
     basis_from_samples,
     basis_from_stream,
@@ -241,25 +241,26 @@ def test_build_basis_degenerate_segment_raises():
 class TestBasisFromSamples:
     def test_exact_quarter_period(self, unbalanced_segment):
         t1 = 0.3
-        frame1 = SampleFrame(t1, evaluate(unbalanced_segment, t1))
-        frame2 = SampleFrame(t1 + math.pi / 2, evaluate(unbalanced_segment, t1 + math.pi / 2))
-        e1, e2 = basis_from_samples(frame1, frame2)
+        t2 = t1 + math.pi / 2
+        e1, e2 = basis_from_samples(
+            t1, evaluate(unbalanced_segment, t1), t2, evaluate(unbalanced_segment, t2)
+        )
         expected1, expected2 = basis_vectors(unbalanced_segment, t1)
         assert e1 == pytest.approx(expected1)
         assert e2 == pytest.approx(expected2)
 
     def test_wrong_gap_rejected(self, unbalanced_segment):
-        frame1 = SampleFrame(0.0, evaluate(unbalanced_segment, 0.0))
-        frame2 = SampleFrame(1.5, evaluate(unbalanced_segment, 1.5))
         with pytest.raises(NotQuarterPeriodError):
-            basis_from_samples(frame1, frame2)
+            basis_from_samples(
+                0.0, evaluate(unbalanced_segment, 0.0), 1.5, evaluate(unbalanced_segment, 1.5)
+            )
 
     def test_returns_copies(self, unbalanced_segment):
-        frame1 = SampleFrame(0.3, evaluate(unbalanced_segment, 0.3))
-        frame2 = SampleFrame(0.3 + math.pi / 2, evaluate(unbalanced_segment, 0.3 + math.pi / 2))
-        e1, _ = basis_from_samples(frame1, frame2)
+        t2 = 0.3 + math.pi / 2
+        values1 = evaluate(unbalanced_segment, 0.3)
+        e1, _ = basis_from_samples(0.3, values1, t2, evaluate(unbalanced_segment, t2))
         e1[0] = 99.0
-        assert frame1.values[0] != 99.0
+        assert values1[0] != 99.0
 
 
 class TestBasisFromStream:
@@ -294,13 +295,17 @@ class TestBasisFromStream:
 
     def test_short_series(self, unbalanced_segment):
         series = sample_series(self._scenario(unbalanced_segment), 1000, 1.0)
+        single = TransformedSeries("abc", series.angles[:1], series.coords[:, :1])
         with pytest.raises(InsufficientSpanError):
-            basis_from_stream(series[:1], 0.0)
+            basis_from_stream(single, 0.0)
 
     def test_non_uniform_rejected(self, unbalanced_segment):
         series = sample_series(self._scenario(unbalanced_segment), 1000, 1.0)
+        gapped = TransformedSeries(
+            "abc", np.delete(series.angles, 100), np.delete(series.coords, 100, axis=1)
+        )
         with pytest.raises(ValueError, match="uniform"):
-            basis_from_stream(series[:100] + series[101:], 0.0)
+            basis_from_stream(gapped, 0.0)
 
 
 def test_basis_from_vectors_round_trip(unbalanced_segment):

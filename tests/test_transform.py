@@ -24,7 +24,7 @@ from locusframe import (
     pipeline_clarke_park,
     pipeline_locus,
 )
-from locusframe.transform import adjugate3, determinant3, invert3
+from locusframe.transform import adjugate3, determinant3
 from locusframe.waveform import TWO_PI, sample_angles
 
 import support
@@ -49,20 +49,6 @@ class TestMatrix3:
             assert m @ adjugate3(m) == pytest.approx(
                 determinant3(m) * np.eye(3), abs=1e-12
             )
-
-    def test_invert_against_numpy(self):
-        rng = np.random.default_rng(35)
-        for _ in range(200):
-            m = rng.normal(size=(3, 3))
-            if abs(np.linalg.det(m)) < 1e-3:
-                continue
-            inverse, det = invert3(m)
-            assert inverse == pytest.approx(np.linalg.inv(m), abs=1e-9)
-            assert det == pytest.approx(np.linalg.det(m))
-
-    def test_invert_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            invert3([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]])
 
 
 class TestAssemble:

@@ -7,7 +7,6 @@ import pytest
 
 from locusframe import (
     PhasorScenario,
-    SampleFrame,
     ScenarioError,
     ScenarioSegment,
     evaluate,
@@ -150,10 +149,9 @@ def test_sample_angles_fractional_periods():
 def test_sample_series_counts_and_values(step_scenario):
     series = sample_series(step_scenario, 100, 2.0)
     assert len(series) == 201
-    assert isinstance(series[0], SampleFrame)
-    probe = series[37]
-    expected = evaluate_scenario(step_scenario, np.array([probe.angle]))[:, 0]
-    assert probe.values == pytest.approx(expected)
+    assert series.frame_kind == "abc"
+    expected = evaluate_scenario(step_scenario, np.array([series.angles[37]]))[:, 0]
+    assert series.coords[:, 37] == pytest.approx(expected)
 
 
 def test_sample_series_rejects_bad_rates(step_scenario):
