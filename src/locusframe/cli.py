@@ -28,6 +28,10 @@ from .waveform import TWO_PI, ScenarioError
 #: frame tokens accepted by simulate --frames
 SIMULATE_FRAMES = ("abc", "locus123", "clarke", "dq0")
 
+#: rows formatted by one string-format call in write_series_csv
+_CSV_BLOCK_ROWS = 1024
+_CSV_ROW = "%.6f,%.6f,%.6f,%.6f\n"
+
 _CSV_HEADERS = {
     "abc": "t,Va,Vb,Vc",
     "locus123": "t,V1,V2,V3",
@@ -42,9 +46,12 @@ def parse_orientation(text: str):
         return text
     if text.startswith("angle:"):
         try:
-            return float(text[len("angle:"):])
+            angle = float(text[len("angle:"):])
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad angle in {text!r}") from None
+            angle = math.nan
+        if not math.isfinite(angle):
+            raise argparse.ArgumentTypeError(f"bad angle in {text!r}")
+        return angle
     raise argparse.ArgumentTypeError(
         f"orientation must be {PHASE_A_PEAK}, {MAX_NORM}, or angle:<radians>, got {text!r}"
     )
@@ -84,15 +91,18 @@ def matrix_lines(matrix) -> list[str]:
 
 
 def write_series_csv(path, series: waveform.TransformedSeries) -> None:
-    """Write a series as CSV: header row, then %.6f values, comma-separated."""
+    """Write a series as CSV: header row, then %.6f values, comma-separated.
+
+    Rows are formatted a block at a time; %-formatting rounds exactly as
+    ``f"{x:.6f}"`` does, ``-0.000000`` included.
+    """
     header = _CSV_HEADERS[series.frame_kind]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(header + "\n")
-        coords = series.coords
-        for i, angle in enumerate(series.angles):
-            handle.write(
-                f"{angle:.6f},{coords[0, i]:.6f},{coords[1, i]:.6f},{coords[2, i]:.6f}\n"
-            )
+        for lo in range(0, len(series), _CSV_BLOCK_ROWS):
+            hi = lo + _CSV_BLOCK_ROWS
+            block = np.vstack([series.angles[lo:hi], series.coords[:, lo:hi]])
+            handle.write(_CSV_ROW * block.shape[1] % tuple(block.T.ravel().tolist()))
 
 
 def _segment_degeneracy(segment) -> float:
@@ -159,7 +169,6 @@ def cmd_simulate(args) -> int:
     if periods is None:
         periods = scenario.segments[-1].start_angle / TWO_PI + 1.0
     index = _pick_segment(scenario, args.segment)
-    os.makedirs(args.out, exist_ok=True)
 
     outputs = []
     if "abc" in args.frames:
@@ -184,6 +193,8 @@ def cmd_simulate(args) -> int:
         if "dq0" in args.frames:
             outputs.append(("V_dq0_clarke.csv", clarke_dq0))
 
+    # only now: a rejected grid or a degenerate basis leaves no directory
+    os.makedirs(args.out, exist_ok=True)
     for name, series in outputs:
         path = os.path.join(args.out, name)
         write_series_csv(path, series)
@@ -192,6 +203,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if not math.isfinite(args.t1_angle):
+        raise ScenarioError(f"t1 angle must be finite, got {args.t1_angle}")
+    if not 0.0 <= args.noise < math.inf:
+        raise ScenarioError(f"noise sigma must be >= 0 and finite, got {args.noise}")
+    if args.seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {args.seed}")
     scenario = waveform.load_scenario(args.scenario)
     series = waveform.sample_series(scenario, args.rate, args.periods)
     if args.noise > 0.0:

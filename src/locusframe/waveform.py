@@ -150,16 +150,23 @@ def segment_at(scenario: PhasorScenario, angle: float) -> ScenarioSegment:
 def evaluate_scenario(scenario: PhasorScenario, angles) -> np.ndarray:
     """Evaluate a scenario on an angle grid, honoring segment switches.
 
-    Returns an array of shape (3, len(angles)).
+    Returns an array of shape (3, len(angles)), bit-identical to
+    :func:`evaluate` on each sample's active segment.  Negative angles raise
+    ScenarioError, as in :func:`segment_at`.
     """
     angles = np.asarray(angles, dtype=float)
-    starts = np.array([s.start_angle for s in scenario.segments])
+    if angles.size and angles.min() < 0.0:
+        raise ScenarioError(f"angles must be >= 0, got {angles.min()}")
+    segments = scenario.segments
+    starts = np.array([s.start_angle for s in segments])
     index = np.searchsorted(starts, angles, side="right") - 1
-    out = np.empty((3, angles.size))
-    for k, segment in enumerate(scenario.segments):
-        mask = index == k
-        if mask.any():
-            out[:, mask] = evaluate(segment, angles[mask])
+    # (3, K) tables gathered per sample; the same operations as evaluate
+    amps = np.array([s.amplitudes for s in segments]).T
+    phases = np.array([total_phases(s) for s in segments]).T
+    out = phases[:, index]
+    out += angles
+    np.cos(out, out=out)
+    out *= amps[:, index]
     return out
 
 
@@ -203,7 +210,14 @@ def _require(mapping, key, where):
 def _as_number(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    # json.loads accepts NaN, Infinity and -Infinity
+    if not math.isfinite(number):
+        raise ScenarioError(f"{what} must be finite, got {number}")
+    return number
 
 
 def _as_triple(value, what):

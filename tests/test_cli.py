@@ -6,8 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from locusframe import MAX_NORM, PHASE_A_PEAK, load_scenario, pipeline_locus
-from locusframe.cli import main, matrix_lines, orientation_label, parse_orientation
+from locusframe import MAX_NORM, PHASE_A_PEAK, TransformedSeries, load_scenario, pipeline_locus
+from locusframe.cli import (
+    _CSV_BLOCK_ROWS,
+    main,
+    matrix_lines,
+    orientation_label,
+    parse_orientation,
+    write_series_csv,
+)
 
 import support
 
@@ -27,6 +34,21 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _assert_rejected(code, out, err):
+    """Exit 2 with one error line on stderr, no traceback, nothing on stdout."""
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def _write_scenario(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def _deviation(stdout: str) -> float:
@@ -57,6 +79,29 @@ class TestOrientationPlumbing:
             parse_orientation("sideways")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_orientation("angle:fast")
+
+    @pytest.mark.parametrize("text", ["angle:nan", "angle:inf", "angle:-inf"])
+    def test_parse_rejects_non_finite_angle(self, text):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_orientation(text)
+
+    def test_non_finite_angle_flag_exits_2(self, scenario_path, tmp_path):
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "simulate",
+                    str(scenario_path),
+                    "--orientation",
+                    "angle:nan",
+                    "--out",
+                    str(out_dir),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert not out_dir.exists()
 
 
 class TestValidate:
@@ -110,6 +155,15 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    def test_infinite_start_rejected(self, capsys, scenario_path, tmp_path):
+        text = scenario_path.read_text(encoding="utf-8")
+        assert '"start_periods": 1.0' in text
+        text = text.replace('"start_periods": 1.0', '"start_periods": Infinity')
+        path = _write_scenario(tmp_path, text)
+        code, out, err = _run(capsys, ["validate", str(path)])
+        _assert_rejected(code, out, err)
+        assert "finite" in err
+
 
 class TestMatrix:
     def test_golden_classical_text(self, capsys, scenario_path):
@@ -161,6 +215,14 @@ class TestMatrix:
         code, _, err = _run(capsys, ["matrix", str(degenerate_scenario_path)])
         assert code == 3
         assert "error:" in err
+
+    def test_nan_amplitude_rejected(self, capsys, scenario_path, tmp_path):
+        text = scenario_path.read_text(encoding="utf-8")
+        assert "[0.7, 1.0, 0.4]" in text
+        path = _write_scenario(tmp_path, text.replace("[0.7, 1.0, 0.4]", "[NaN, 1.0, 0.4]"))
+        code, out, err = _run(capsys, ["matrix", str(path), "--segment", "2"])
+        _assert_rejected(code, out, err)
+        assert "finite" in err
 
     def test_bad_orientation_flag(self, scenario_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -289,15 +351,13 @@ class TestSimulate:
         ids=["rate-0", "periods-negative", "periods-0", "periods-inf"],
     )
     def test_bad_grid_rejected(self, capsys, scenario_path, tmp_path, flags):
+        # no CSV and not even the output directory
+        out_dir = tmp_path / "new"
         code, out, err = _run(
-            capsys, ["simulate", str(scenario_path), *flags, "--out", str(tmp_path)]
+            capsys, ["simulate", str(scenario_path), *flags, "--out", str(out_dir)]
         )
-        assert code == 2
-        assert err.startswith("error:")
-        assert len(err.splitlines()) == 1
-        assert "Traceback" not in err
-        assert out == ""
-        assert list(tmp_path.glob("*.csv")) == []
+        _assert_rejected(code, out, err)
+        assert not out_dir.exists()
 
 
 class TestMeasure:
@@ -359,6 +419,26 @@ class TestMeasure:
         assert _deviation(noisy_out) > _deviation(clean_out)
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--t1-angle", "nan"],
+            ["--t1-angle", "inf"],
+            ["--noise", "-1"],
+            ["--noise", "nan"],
+            ["--noise", "inf"],
+            ["--noise", "0.01", "--seed", "-1"],
+        ],
+        ids=["t1-nan", "t1-inf", "noise-negative", "noise-nan", "noise-inf", "seed-negative"],
+    )
+    def test_bad_argument_rejected(self, capsys, scenario_path, tmp_path, flags):
+        out_dir = tmp_path / "new"
+        code, out, err = _run(
+            capsys, ["measure", str(scenario_path), *flags, "--out", str(out_dir)]
+        )
+        _assert_rejected(code, out, err)
+        assert not out_dir.exists()
+
     def test_noise_draw_order(self, capsys, scenario_path, tmp_path):
         # sample i of the CSV carries draws 3i..3i+2 of default_rng(seed)
         argv = ["measure", str(scenario_path)]
@@ -377,6 +457,34 @@ class TestMeasure:
         np.testing.assert_allclose(added, expected, rtol=0.0, atol=1e-6)
         channel_major = np.random.default_rng(3).normal(0.0, 0.01, size=(3, n)).T
         assert np.max(np.abs(added - channel_major)) > 1e-3
+
+
+def test_write_series_csv_matches_per_row_format(tmp_path):
+    # more than two blocks; signed zeros, values that round to -0.000000 or
+    # 0.000001, and values above 100
+    n = 2 * _CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(-150.0, 150.0, size=(3, n))
+    special = [-0.0, -4e-7, 5e-7, 0.0, 123.4567895, -100.0000005, 1e-7, -5e-7]
+    coords[0, : len(special)] = special
+    coords[1, -len(special) :] = special
+    coords[2, _CSV_BLOCK_ROWS - 4 : _CSV_BLOCK_ROWS + 4] = special
+    angles = np.arange(n) * (2.0 * math.pi / 1000.0) + 100.0
+    series = TransformedSeries("dq0", angles, coords)
+    path = tmp_path / "series.csv"
+    write_series_csv(path, series)
+    expected = "t,Vd,Vq,V0\n" + "".join(
+        f"{angle:.6f},{coords[0, i]:.6f},{coords[1, i]:.6f},{coords[2, i]:.6f}\n"
+        for i, angle in enumerate(angles)
+    )
+    assert "-0.000000" in expected
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_write_series_csv_empty_series(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_series_csv(path, TransformedSeries("abc", np.empty(0), np.empty((3, 0))))
+    assert path.read_bytes() == b"t,Va,Vb,Vc\n"
 
 
 def test_matrix_lines_format():

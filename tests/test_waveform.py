@@ -131,6 +131,33 @@ def test_evaluate_scenario_honors_switches(step_scenario):
         assert block[:, i] == pytest.approx(expected, abs=1e-12)
 
 
+def test_evaluate_scenario_bit_identical_to_per_sample_evaluate():
+    rng = np.random.default_rng(17)
+    starts = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 40.0, size=49))])
+    segments = tuple(
+        ScenarioSegment(
+            start_angle=float(start),
+            amplitudes=tuple(rng.uniform(0.2, 1.2, size=3)),
+            phase_offsets=tuple(rng.uniform(-math.pi, math.pi, size=3)),
+        )
+        for start in starts
+    )
+    scenario = PhasorScenario(omega=TWO_PI * 50.0, segments=segments)
+    # shuffled, with every switch angle itself and the last segment's tail
+    angles = np.concatenate([rng.uniform(0.0, 45.0, size=400), starts])
+    rng.shuffle(angles)
+    block = evaluate_scenario(scenario, angles)
+    assert block.shape == (3, angles.size)
+    for i, angle in enumerate(angles):
+        assert np.array_equal(block[:, i], evaluate(segment_at(scenario, angle), angle))
+
+
+def test_evaluate_scenario_rejects_negative_angles(step_scenario):
+    with pytest.raises(ScenarioError):
+        evaluate_scenario(step_scenario, np.array([0.0, -1e-9, 1.0]))
+    assert evaluate_scenario(step_scenario, np.empty(0)).shape == (3, 0)
+
+
 def test_sample_angles_grid():
     angles = sample_angles(1000, 1.0)
     assert angles.size == 1001
@@ -234,6 +261,23 @@ class TestParseScenario:
         doc = GOOD_DOC.replace('"start_periods": 1.0', '"start_periods": 0.0')
         with pytest.raises(ScenarioError, match="strictly increasing"):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("50.0,", "NaN,"),
+            ('"start_periods": 1.0', '"start_periods": Infinity'),
+            ("[0.7, 1.0, 0.4]", "[0.7, NaN, 0.4]"),
+            ("[-70.0, -10.0, -90.0]", "[-70.0, -Infinity, -90.0]"),
+            ("50.0,", "1" + "0" * 400 + ","),
+        ],
+        ids=["frequency-nan", "start-infinity", "amplitude-nan", "offset-neg-infinity",
+             "frequency-int-overflow"],
+    )
+    def test_non_finite_number_rejected(self, old, new):
+        assert old in GOOD_DOC
+        with pytest.raises(ScenarioError, match="must be finite"):
+            parse_scenario(GOOD_DOC.replace(old, new, 1))
 
 
 def test_load_shipped_scenario(scenario_path):
