@@ -28,9 +28,34 @@ from .waveform import TWO_PI, ScenarioError
 #: frame tokens accepted by simulate --frames
 SIMULATE_FRAMES = ("abc", "locus123", "clarke", "dq0")
 
-#: rows formatted by one string-format call in write_series_csv
-_CSV_BLOCK_ROWS = 1024
+#: rows rendered per block in write_series_csv
+_CSV_BLOCK_ROWS = 4096
 _CSV_ROW = "%.6f,%.6f,%.6f,%.6f\n"
+#: |x| below this keeps |x|*1e6 under 2**52, where one ulp is at most 0.5
+_FIXED_MAX = 4.5e9
+
+
+def _ascii_words(texts) -> np.ndarray:
+    """One uint32 word per text of at most 4 ASCII bytes, NUL-padded on the left."""
+    data = "".join(text.rjust(4, "\0") for text in texts).encode("ascii")
+    return np.frombuffer(data, dtype=np.uint32)
+
+
+_DIGITS = [f"{g:03d}" for g in range(1000)]
+#: one 3-digit group of the whole part: 2000*sign + value when every higher
+#: group is 0 (no padding, the sign before the first digit), 2000*sign + 1000
+#: + value otherwise (zero-padded, no sign)
+_UNITS_GROUP = _ascii_words(
+    text for sign in ("", "-") for text in [sign + str(g) for g in range(1000)] + _DIGITS
+)
+#: the same above the units group, where a leading 0 shows nothing, not even
+#: the sign
+_HIGH_GROUP = _UNITS_GROUP.copy()
+_HIGH_GROUP[[0, 2000]] = 0
+_FRACTION_HIGH = _ascii_words("." + digits for digits in _DIGITS)
+_FRACTION_LOW = _ascii_words(digits + end for end in ",\n" for digits in _DIGITS)
+#: offset into _FRACTION_LOW per CSV column: a comma, then the row's newline
+_COLUMN_END = np.array([0, 0, 0, 1000])
 
 _CSV_HEADERS = {
     "abc": "t,Va,Vb,Vc",
@@ -90,19 +115,55 @@ def matrix_lines(matrix) -> list[str]:
     return ["".join(f"{entry:8.3f}" for entry in row) for row in matrix]
 
 
+def _fixed_rows(rows: np.ndarray) -> bytes | None:
+    """CSV text of a (n, 4) block, each value as ``"%.6f" % x`` gives it.
+
+    Rounds |x|*1e6 to an integer count of millionths and renders it from the
+    word tables.  Below 2**52 both |x|*1e6 and that integer are multiples of
+    one ulp (at most 0.5), and the exact product lies within half an ulp, so
+    a distance under 0.5 proves the integer is the correctly rounded one.
+    Returns None when the block holds a value where that proof fails: a
+    non-finite value, |x| >= _FIXED_MAX, or a tie |x|*1e6 = k + 0.5.
+    """
+    magnitude = np.abs(rows)
+    if not np.all(magnitude < _FIXED_MAX):  # NaN fails the test too
+        return None
+    scaled = magnitude * 1e6
+    units = np.rint(scaled)
+    if not np.all(np.abs(scaled - units) < 0.5):
+        return None
+    whole, fraction = np.divmod(units.astype(np.int64), 1_000_000)
+    groups = (len(str(whole.max())) + 2) // 3  # of the widest whole part
+    sign = np.signbit(rows) * 2000
+    words = np.empty(rows.shape + (groups + 2,), dtype=np.uint32)
+    above = whole  # the whole part without the groups rendered so far
+    for k in range(groups):
+        table = _HIGH_GROUP if k else _UNITS_GROUP
+        words[..., groups - 1 - k] = table[sign + above % 1000 + 1000 * (above >= 1000)]
+        above = above // 1000
+    high, low = np.divmod(fraction, 1000)
+    words[..., groups] = _FRACTION_HIGH[high]
+    words[..., groups + 1] = _FRACTION_LOW[low + _COLUMN_END]
+    return words.tobytes().translate(None, b"\0")
+
+
 def write_series_csv(path, series: waveform.TransformedSeries) -> None:
     """Write a series as CSV: header row, then %.6f values, comma-separated.
 
-    Rows are formatted a block at a time; %-formatting rounds exactly as
-    ``f"{x:.6f}"`` does, ``-0.000000`` included.
+    Rows are rendered a block at a time by :func:`_fixed_rows`; a block it
+    cannot prove exact is %-formatted instead.  Both give the bytes of
+    ``f"{x:.6f}"``, ``-0.000000`` included.
     """
     header = _CSV_HEADERS[series.frame_kind]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header + "\n")
+    with open(path, "wb") as handle:
+        handle.write(header.encode("ascii") + b"\n")
         for lo in range(0, len(series), _CSV_BLOCK_ROWS):
             hi = lo + _CSV_BLOCK_ROWS
-            block = np.vstack([series.angles[lo:hi], series.coords[:, lo:hi]])
-            handle.write(_CSV_ROW * block.shape[1] % tuple(block.T.ravel().tolist()))
+            rows = np.vstack([series.angles[lo:hi], series.coords[:, lo:hi]]).T
+            text = _fixed_rows(rows)
+            if text is None:
+                text = (_CSV_ROW * len(rows) % tuple(rows.ravel().tolist())).encode("ascii")
+            handle.write(text)
 
 
 def _segment_degeneracy(segment) -> float:
@@ -217,10 +278,6 @@ def cmd_measure(args) -> int:
         noise = rng.normal(0.0, args.noise, size=(len(series), 3))
         series = waveform.TransformedSeries("abc", series.angles, series.coords + noise.T)
 
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "V_abc_measured.csv")
-    write_series_csv(path, series)
-
     e1, e2 = locus.basis_from_stream(series, args.t1_angle)
     measured = transform.assemble(locus.basis_from_vectors(e1, e2, args.t1_angle))
 
@@ -230,6 +287,11 @@ def cmd_measure(args) -> int:
         locus.basis_from_vectors(exact[:, 0], exact[:, 1], args.t1_angle)
     )
     deviation = float(np.max(np.abs(measured.forward - analytic.forward)))
+
+    # only now: a rejected measurement leaves no directory
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "V_abc_measured.csv")
+    write_series_csv(path, series)
 
     print(f"samples per period: {args.rate}")
     print(f"t1 angle: {args.t1_angle:.6f} rad")

@@ -242,9 +242,10 @@ def basis_from_stream(series: TransformedSeries, t1_angle: float):
     """Estimate the in-plane basis from a uniformly sampled abc series.
 
     Linearly interpolates the series at t1_angle and t1_angle + pi/2; the
-    implied orientation angle is t1_angle.  The series must cover
-    [t1_angle, t1_angle + pi/2] (InsufficientSpanError) and carry at least
-    MIN_STREAM_RATE samples per period (InsufficientRateError).
+    implied orientation angle is t1_angle.  The series must be uniformly
+    sampled (MeasurementError), cover [t1_angle, t1_angle + pi/2]
+    (InsufficientSpanError) and carry at least MIN_STREAM_RATE samples per
+    period (InsufficientRateError).
     """
     t2_angle = t1_angle + 0.5 * math.pi
     if len(series) < 2:
@@ -252,7 +253,7 @@ def basis_from_stream(series: TransformedSeries, t1_angle: float):
     angles = series.angles
     step = angles[1] - angles[0]
     if step <= 0.0 or np.any(np.abs(np.diff(angles) - step) > 1e-9):
-        raise ValueError("series is not uniformly sampled")
+        raise MeasurementError("series is not uniformly sampled")
     rate = TWO_PI / step
     if rate < MIN_STREAM_RATE - 1e-9:
         raise InsufficientRateError(

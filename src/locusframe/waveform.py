@@ -173,8 +173,8 @@ def evaluate_scenario(scenario: PhasorScenario, angles) -> np.ndarray:
 def sample_angles(samples_per_period: int, periods: float) -> np.ndarray:
     """Uniform angle grid with step 2pi/samples_per_period covering [0, 2pi*periods].
 
-    Raises ScenarioError for fewer than 4 samples per period or a span that is
-    not positive and finite.
+    Raises ScenarioError for fewer than 4 samples per period, a span that is
+    not positive and finite, or a grid too large for numpy to allocate.
     """
     if samples_per_period < 4:
         raise ScenarioError(
@@ -182,8 +182,12 @@ def sample_angles(samples_per_period: int, periods: float) -> np.ndarray:
         )
     if not 0.0 < periods < math.inf:
         raise ScenarioError(f"periods must be positive and finite, got {periods}")
-    steps = math.ceil(samples_per_period * periods - 1e-9)
-    return np.arange(steps + 1) * (TWO_PI / samples_per_period)
+    span = samples_per_period * periods
+    try:
+        return np.arange(math.ceil(span - 1e-9) + 1) * (TWO_PI / samples_per_period)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        # past the float range or numpy's size limit, or beyond the memory at hand
+        raise ScenarioError(f"cannot allocate a grid of {span:.4g} samples") from exc
 
 
 def sample_series(

@@ -2,11 +2,15 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locusframe import MAX_NORM, PHASE_A_PEAK, TransformedSeries, load_scenario, pipeline_locus
+from locusframe import cli
 from locusframe.cli import (
     _CSV_BLOCK_ROWS,
     main,
@@ -347,8 +351,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--rate", "0"], ["--periods", "-1"], ["--periods", "0"], ["--periods", "inf"]],
-        ids=["rate-0", "periods-negative", "periods-0", "periods-inf"],
+        [
+            ["--rate", "0"],
+            ["--periods", "-1"],
+            ["--periods", "0"],
+            ["--periods", "inf"],
+            # 1e15 samples: 7 PiB, beyond any 48-bit address space
+            ["--periods", "1e12"],
+        ],
+        ids=["rate-0", "periods-negative", "periods-0", "periods-inf", "periods-huge"],
     )
     def test_bad_grid_rejected(self, capsys, scenario_path, tmp_path, flags):
         # no CSV and not even the output directory
@@ -382,20 +393,25 @@ class TestMeasure:
         assert math.isfinite(coarse)
 
     def test_rate_below_floor(self, capsys, scenario_path, tmp_path):
+        # a rejected measurement writes no CSV and not even the directory
+        out_dir = tmp_path / "new"
         code, _, err = _run(
             capsys,
-            ["measure", str(scenario_path), "--rate", "32", "--out", str(tmp_path)],
+            ["measure", str(scenario_path), "--rate", "32", "--out", str(out_dir)],
         )
         assert code == 4
         assert "error:" in err
+        assert not out_dir.exists()
 
     def test_insufficient_span(self, capsys, scenario_path, tmp_path):
+        out_dir = tmp_path / "new"
         code, _, err = _run(
             capsys,
-            ["measure", str(scenario_path), "--t1-angle", "6.0", "--out", str(tmp_path)],
+            ["measure", str(scenario_path), "--t1-angle", "6.0", "--out", str(out_dir)],
         )
         assert code == 4
         assert "error:" in err
+        assert not out_dir.exists()
 
     def test_noise_is_reproducible(self, capsys, scenario_path, tmp_path):
         argv = [
@@ -428,8 +444,18 @@ class TestMeasure:
             ["--noise", "nan"],
             ["--noise", "inf"],
             ["--noise", "0.01", "--seed", "-1"],
+            # beyond numpy's array size limit
+            ["--periods", "1e300"],
         ],
-        ids=["t1-nan", "t1-inf", "noise-negative", "noise-nan", "noise-inf", "seed-negative"],
+        ids=[
+            "t1-nan",
+            "t1-inf",
+            "noise-negative",
+            "noise-nan",
+            "noise-inf",
+            "seed-negative",
+            "periods-huge",
+        ],
     )
     def test_bad_argument_rejected(self, capsys, scenario_path, tmp_path, flags):
         out_dir = tmp_path / "new"
@@ -485,6 +511,90 @@ def test_write_series_csv_empty_series(tmp_path):
     path = tmp_path / "empty.csv"
     write_series_csv(path, TransformedSeries("abc", np.empty(0), np.empty((3, 0))))
     assert path.read_bytes() == b"t,Va,Vb,Vc\n"
+
+
+def _percent_csv(header, angles, coords) -> bytes:
+    """The CSV that per-value "%.6f" formatting gives."""
+    lines = [header] + [",".join("%.6f" % x for x in row) for row in np.vstack([angles, coords]).T]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+_TIES = (1000000.0000005, 0.0078125, 0.0234375)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "value, rendered",
+    [
+        # |x|*1e6 lands on k + 0.5: %-formatted, since rint could round either way
+        *((tie, False) for tie in _TIES),
+        *((math.nextafter(tie, direction), True) for tie in _TIES for direction in (0.0, 2.0e6)),
+        # signs, including values that round to -0.000000 and the float tie 5e-7
+        (-0.0, True),
+        (-4e-7, True),
+        (5e-7, False),
+        # whole parts with inner zero groups, a carry into the whole part
+        (1000.0, True),
+        (-1002.003, True),
+        (1000000.5, True),
+        (999.9999995, False),
+        (-999999.9999996, True),
+        (-4499999999.25, True),
+        # at 2**52 millionths one ulp is 1 and the rounding proof fails
+        (4503599627.370496, False),
+        (1e300, False),
+        (math.nan, False),
+        (math.inf, False),
+        (-math.inf, False),
+    ],
+)
+def test_write_series_csv_exact_values(tmp_path, value, rendered):
+    # the value sits in every column of the rows either side of a block edge
+    # and of the last row; the middle of each block holds ordinary values
+    n = 2 * _CSV_BLOCK_ROWS + 3
+    coords = np.random.default_rng(9).uniform(-1500.0, 1500.0, size=(3, n))
+    angles = np.arange(n) * (2.0 * math.pi / 1000.0)
+    edges = [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, n - 1]
+    coords[:, edges] = value
+    path = tmp_path / "series.csv"
+    write_series_csv(path, TransformedSeries("abc", angles, coords))
+    assert path.read_bytes() == _percent_csv("t,Va,Vb,Vc", angles, coords)
+    # rendered from the word tables, or declined to %-formatting
+    assert (cli._fixed_rows(np.full((1, 4), value)) is not None) == rendered
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# values at or next to a tie of |x|*1e6: decimal half-millionths and dyadic
+# fractions, moved by up to two ulps
+_NEAR_TIES = st.builds(
+    _nudge,
+    st.one_of(
+        st.integers(-(2**52), 2**52).map(lambda k: (k + 0.5) / 1e6),
+        st.builds(lambda m, e: m * 2.0**-e, st.integers(-(2**40), 2**40), st.integers(1, 30)),
+    ),
+    st.integers(-2, 2),
+)
+
+
+# numpy's overflow and invalid-value warnings; "error" would also turn
+# warnings that hypothesis raises while reporting a failure into a crash
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(), st.floats(-5e9, 5e9), _NEAR_TIES), min_size=1))
+def test_write_series_csv_matches_percent_format_property(values, tmp_path_factory):
+    n = -(-len(values) // 3)
+    coords = np.resize(np.array(values), 3 * n).reshape(3, n)
+    angles = np.arange(n) * 0.125
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    # blocks of two rows: one declined value leaves its neighbours rendered
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 2):
+        write_series_csv(path, TransformedSeries("dq0", angles, coords))
+    assert path.read_bytes() == _percent_csv("t,Vd,Vq,V0", angles, coords)
 
 
 def test_matrix_lines_format():

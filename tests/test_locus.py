@@ -11,6 +11,7 @@ from locusframe import (
     InsufficientRateError,
     InsufficientSpanError,
     MAX_NORM,
+    MeasurementError,
     NotQuarterPeriodError,
     PHASE_A_PEAK,
     ScenarioSegment,
@@ -304,7 +305,7 @@ class TestBasisFromStream:
         gapped = TransformedSeries(
             "abc", np.delete(series.angles, 100), np.delete(series.coords, 100, axis=1)
         )
-        with pytest.raises(ValueError, match="uniform"):
+        with pytest.raises(MeasurementError, match="uniform"):
             basis_from_stream(gapped, 0.0)
 
 

@@ -173,6 +173,18 @@ def test_sample_angles_fractional_periods():
     assert angles[-1] <= TWO_PI * 0.3 + TWO_PI / 8
 
 
+@pytest.mark.parametrize(
+    "periods, count",
+    # 7 PiB of samples, beyond any 48-bit address space; beyond numpy's size
+    # limit; beyond the float range
+    [(1e12, r"1e\+15"), (1e300, r"1e\+303"), (1e306, "inf")],
+    ids=["7-PiB", "size-limit", "float-range"],
+)
+def test_sample_angles_too_large(periods, count):
+    with pytest.raises(ScenarioError, match=rf"grid of {count} samples"):
+        sample_angles(1000, periods)
+
+
 def test_sample_series_counts_and_values(step_scenario):
     series = sample_series(step_scenario, 100, 2.0)
     assert len(series) == 201
