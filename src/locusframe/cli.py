@@ -15,6 +15,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -41,20 +42,25 @@ def _ascii_words(texts) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint32)
 
 
-_DIGITS = [f"{g:03d}" for g in range(1000)]
-#: one 3-digit group of the whole part: 2000*sign + value when every higher
-#: group is 0 (no padding, the sign before the first digit), 2000*sign + 1000
-#: + value otherwise (zero-padded, no sign)
-_UNITS_GROUP = _ascii_words(
-    text for sign in ("", "-") for text in [sign + str(g) for g in range(1000)] + _DIGITS
-)
-#: the same above the units group, where a leading 0 shows nothing, not even
-#: the sign
-_HIGH_GROUP = _UNITS_GROUP.copy()
-_HIGH_GROUP[[0, 2000]] = 0
-_FRACTION_HIGH = _ascii_words("." + digits for digits in _DIGITS)
-_FRACTION_LOW = _ascii_words(digits + end for end in ",\n" for digits in _DIGITS)
-#: offset into _FRACTION_LOW per CSV column: a comma, then the row's newline
+@functools.cache
+def _csv_tables():
+    """The word tables of _fixed_rows: units, high, fraction_high, fraction_low."""
+    digits = [f"{g:03d}" for g in range(1000)]
+    # one 3-digit group of the whole part: 2000*sign + value when every higher
+    # group is 0 (no padding, the sign before the first digit), 2000*sign + 1000
+    # + value otherwise (zero-padded, no sign)
+    units = _ascii_words(
+        text for sign in ("", "-") for text in [sign + str(g) for g in range(1000)] + digits
+    )
+    # the same above the units group, where a leading 0 shows nothing, not even the sign
+    high = units.copy()
+    high[[0, 2000]] = 0
+    fraction_high = _ascii_words("." + text for text in digits)
+    fraction_low = _ascii_words(text + end for end in ",\n" for text in digits)
+    return units, high, fraction_high, fraction_low
+
+
+#: offset into fraction_low per CSV column: a comma, then the row's newline
 _COLUMN_END = np.array([0, 0, 0, 1000])
 
 _CSV_HEADERS = {
@@ -132,18 +138,19 @@ def _fixed_rows(rows: np.ndarray) -> bytes | None:
     units = np.rint(scaled)
     if not np.all(np.abs(scaled - units) < 0.5):
         return None
+    units_group, high_group, fraction_high, fraction_low = _csv_tables()
     whole, fraction = np.divmod(units.astype(np.int64), 1_000_000)
     groups = (len(str(whole.max())) + 2) // 3  # of the widest whole part
     sign = np.signbit(rows) * 2000
     words = np.empty(rows.shape + (groups + 2,), dtype=np.uint32)
     above = whole  # the whole part without the groups rendered so far
     for k in range(groups):
-        table = _HIGH_GROUP if k else _UNITS_GROUP
+        table = high_group if k else units_group
         words[..., groups - 1 - k] = table[sign + above % 1000 + 1000 * (above >= 1000)]
         above = above // 1000
     high, low = np.divmod(fraction, 1000)
-    words[..., groups] = _FRACTION_HIGH[high]
-    words[..., groups + 1] = _FRACTION_LOW[low + _COLUMN_END]
+    words[..., groups] = fraction_high[high]
+    words[..., groups + 1] = fraction_low[low + _COLUMN_END]
     return words.tobytes().translate(None, b"\0")
 
 

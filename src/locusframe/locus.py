@@ -108,15 +108,23 @@ def basis_vectors(segment: ScenarioSegment, theta_o: float):
     return evaluate(segment, theta_o), evaluate(segment, theta_o + 0.5 * math.pi)
 
 
+def _cross_and_norms(e1, e2):
+    """(e1 x e2, ||e1||, ||e2||, ||e1 x e2||) as floats, bit for bit as np.cross
+    and np.linalg.norm give them: the terms in np.cross's order, each norm
+    sqrt(v . v) with np.dot on a contiguous vector, as np.linalg.norm does."""
+    e1 = np.ascontiguousarray(e1, dtype=float)
+    e2 = np.ascontiguousarray(e2, dtype=float)
+    (x1, y1, z1), (x2, y2, z2) = e1.tolist(), e2.tolist()
+    cross = np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2])
+    return (cross, *(math.sqrt(v.dot(v)) for v in (e1, e2, cross)))
+
+
 def degeneracy_metric(e1, e2) -> float:
     """||e1 x e2|| / (||e1|| ||e2||), clipped to [0, 1]; 0 when either norm vanishes."""
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
+    _, n1, n2, cross_norm = _cross_and_norms(e1, e2)
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
-    return min(1.0, float(np.linalg.norm(np.cross(e1, e2)) / (n1 * n2)))
+    return min(1.0, cross_norm / (n1 * n2))
 
 
 def normal_vector(e1, e2) -> np.ndarray:
@@ -126,17 +134,7 @@ def normal_vector(e1, e2) -> np.ndarray:
     them (nearly) vanishes, i.e. the locus is a line segment and defines no
     plane.
     """
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
-    cross = np.cross(e1, e2)
-    cross_norm = np.linalg.norm(cross)
-    if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL or cross_norm <= DEGENERACY_RTOL * n1 * n2:
-        raise DegenerateLocusError(
-            f"linear locus: |e1 x e2| = {cross_norm:.3e} with |e1| = {n1:.3e}, |e2| = {n2:.3e}"
-        )
-    return _NORMAL_SCALE * cross / cross_norm
+    return basis_from_vectors(e1, e2, 0.0).e3
 
 
 def theta_phase_a_peak(segment: ScenarioSegment) -> float:
@@ -207,12 +205,17 @@ def basis_from_vectors(e1, e2, theta_o: float) -> LocusBasis:
     """Complete a locus basis from two in-plane vectors (adds e3 and metadata)."""
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
+    cross, n1, n2, cross_norm = _cross_and_norms(e1, e2)
+    if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL or cross_norm <= DEGENERACY_RTOL * n1 * n2:
+        raise DegenerateLocusError(
+            f"linear locus: |e1 x e2| = {cross_norm:.3e} with |e1| = {n1:.3e}, |e2| = {n2:.3e}"
+        )
     return LocusBasis(
         e1=e1,
         e2=e2,
-        e3=normal_vector(e1, e2),
+        e3=_NORMAL_SCALE * cross / cross_norm,
         theta_o=theta_o,
-        degeneracy=degeneracy_metric(e1, e2),
+        degeneracy=min(1.0, cross_norm / (n1 * n2)),
     )
 
 

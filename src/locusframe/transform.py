@@ -50,34 +50,22 @@ class FrameTransform:
 
 def determinant3(m) -> float:
     """Closed-form determinant of a 3x3 matrix."""
-    m = np.asarray(m, dtype=float)
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
+    return (
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
     )
 
 
 def adjugate3(m) -> np.ndarray:
     """Adjugate (transposed cofactor matrix) of a 3x3 matrix."""
-    m = np.asarray(m, dtype=float)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
     return np.array(
         [
-            [
-                m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
-                m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2],
-                m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1],
-            ],
-            [
-                m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2],
-                m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
-                m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2],
-            ],
-            [
-                m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0],
-                m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1],
-                m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0],
-            ],
+            [m11 * m22 - m12 * m21, m02 * m21 - m01 * m22, m01 * m12 - m02 * m11],
+            [m12 * m20 - m10 * m22, m00 * m22 - m02 * m20, m02 * m10 - m00 * m12],
+            [m10 * m21 - m11 * m20, m01 * m20 - m00 * m21, m00 * m11 - m01 * m10],
         ]
     )
 
@@ -96,8 +84,9 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
         e2 = e2 / np.linalg.norm(e2)
     inverse = np.column_stack([e1, e2, basis.e3])
     det = determinant3(inverse)
-    norms = np.linalg.norm(inverse, axis=0)
-    if abs(det) <= 1e-12 * norms[0] * norms[1] * norms[2]:
+    # each column's squares summed row by row, as np.linalg.norm(axis=0) sums them
+    n1, n2, n3 = (math.sqrt(x * x + y * y + z * z) for x, y, z in zip(*inverse.tolist()))
+    if abs(det) <= 1e-12 * n1 * n2 * n3:
         raise SingularMatrixError(f"frame matrix is singular: det = {det:.3e}")
     forward = adjugate3(inverse) / det
     return FrameTransform(

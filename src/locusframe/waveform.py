@@ -182,8 +182,9 @@ def sample_angles(samples_per_period: int, periods: float) -> np.ndarray:
         )
     if not 0.0 < periods < math.inf:
         raise ScenarioError(f"periods must be positive and finite, got {periods}")
-    span = samples_per_period * periods
+    span = math.inf  # when a rate past the float range fails the product itself
     try:
+        span = samples_per_period * periods
         return np.arange(math.ceil(span - 1e-9) + 1) * (TWO_PI / samples_per_period)
     except (OverflowError, ValueError, MemoryError) as exc:
         # past the float range or numpy's size limit, or beyond the memory at hand

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -358,8 +361,17 @@ class TestSimulate:
             ["--periods", "inf"],
             # 1e15 samples: 7 PiB, beyond any 48-bit address space
             ["--periods", "1e12"],
+            # a rate past the float range
+            ["--rate", "1" + "0" * 400],
         ],
-        ids=["rate-0", "periods-negative", "periods-0", "periods-inf", "periods-huge"],
+        ids=[
+            "rate-0",
+            "periods-negative",
+            "periods-0",
+            "periods-inf",
+            "periods-huge",
+            "rate-huge",
+        ],
     )
     def test_bad_grid_rejected(self, capsys, scenario_path, tmp_path, flags):
         # no CSV and not even the output directory
@@ -446,6 +458,7 @@ class TestMeasure:
             ["--noise", "0.01", "--seed", "-1"],
             # beyond numpy's array size limit
             ["--periods", "1e300"],
+            ["--rate", "1" + "0" * 400],
         ],
         ids=[
             "t1-nan",
@@ -455,6 +468,7 @@ class TestMeasure:
             "noise-inf",
             "seed-negative",
             "periods-huge",
+            "rate-huge",
         ],
     )
     def test_bad_argument_rejected(self, capsys, scenario_path, tmp_path, flags):
@@ -483,6 +497,28 @@ class TestMeasure:
         np.testing.assert_allclose(added, expected, rtol=0.0, atol=1e-6)
         channel_major = np.random.default_rng(3).normal(0.0, 0.01, size=(3, n)).T
         assert np.max(np.abs(added - channel_major)) > 1e-3
+
+
+def test_csv_tables_built_on_first_write(scenario_path, tmp_path):
+    # importing the CLI and running validate and matrix build no CSV word tables
+    script = (
+        "import sys\n"
+        "from locusframe import cli\n"
+        "cli.main(['validate', sys.argv[1]])\n"
+        "cli.main(['matrix', sys.argv[1]])\n"
+        "built = cli._csv_tables.cache_info().currsize\n"
+        "cli.main(['simulate', sys.argv[1], '--periods', '1', '--out', sys.argv[2]])\n"
+        "print(built, cli._csv_tables.cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(scenario_path), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 1"
 
 
 def test_write_series_csv_matches_per_row_format(tmp_path):

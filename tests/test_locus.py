@@ -113,6 +113,30 @@ class TestNormalVector:
             normal_vector(*basis_vectors(segment, 0.0))
 
 
+def _pairs_with_numpy_formulas():
+    """Seeded random pairs (contiguous and strided) plus the stock segment's, each
+    with e3 and the degeneracy as np.cross and np.linalg.norm give them."""
+    rng = np.random.default_rng(61)
+    stock = support.unbalanced_segment()
+    pairs = [basis_vectors(stock, theta) for theta in rng.uniform(-math.pi, math.pi, 50)]
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(3000, 2, 1))
+    pairs += list(rng.normal(size=(3000, 2, 3)) * scales)
+    pairs += [(m[:, 0], m[:, 1]) for m in rng.normal(size=(200, 3, 2))]
+    for e1, e2 in pairs:
+        cross = np.cross(e1, e2)
+        n1, n2, cross_norm = np.linalg.norm(e1), np.linalg.norm(e2), np.linalg.norm(cross)
+        yield e1, e2, math.sqrt(3.0) * cross / cross_norm, min(1.0, float(cross_norm / (n1 * n2)))
+
+
+def test_scalar_kernels_bit_identical_to_numpy_formulas():
+    for e1, e2, e3, degeneracy in _pairs_with_numpy_formulas():
+        basis = basis_from_vectors(e1, e2, 0.0)
+        assert np.array_equal(basis.e3, e3)
+        assert basis.degeneracy == degeneracy
+        assert np.array_equal(normal_vector(e1, e2), e3)
+        assert degeneracy_metric(e1, e2) == degeneracy
+
+
 class TestThetaPhaseAPeak:
     def test_reference_value(self, unbalanced_segment):
         assert theta_phase_a_peak(unbalanced_segment) == pytest.approx(

@@ -51,6 +51,67 @@ class TestMatrix3:
             )
 
 
+def _indexed_determinant(m):
+    return float(
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
+
+
+def _indexed_adjugate(m):
+    return np.array(
+        [
+            [
+                m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1],
+                m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2],
+                m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1],
+            ],
+            [
+                m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2],
+                m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0],
+                m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2],
+            ],
+            [
+                m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0],
+                m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1],
+                m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0],
+            ],
+        ]
+    )
+
+
+class TestScalarKernels:
+    """The float kernels equal element-indexed numpy formulas bit for bit."""
+
+    def test_determinant_and_adjugate(self, unbalanced_segment):
+        rng = np.random.default_rng(43)
+        stock = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK)).inverse
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(3000, 1, 1))
+        for m in [stock, *(rng.normal(size=(3000, 3, 3)) * scales)]:
+            assert determinant3(m) == _indexed_determinant(m)
+            assert np.array_equal(adjugate3(m), _indexed_adjugate(m))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_assemble(self, unbalanced_segment, normalized):
+        rng = np.random.default_rng(47)
+        bases = [build_basis(unbalanced_segment, o) for o in (PHASE_A_PEAK, MAX_NORM, 0.4)]
+        for orientation in (PHASE_A_PEAK, MAX_NORM, 0.9):
+            for _ in range(500):
+                segment = support.random_nondegenerate_segment(rng, orientation)
+                bases.append(build_basis(segment, orientation))
+        for basis in bases:
+            e1, e2 = basis.e1, basis.e2
+            if normalized:
+                e1, e2 = e1 / np.linalg.norm(e1), e2 / np.linalg.norm(e2)
+            inverse = np.column_stack([e1, e2, basis.e3])
+            det = _indexed_determinant(inverse)
+            frame = assemble(basis, normalized=normalized)
+            assert np.array_equal(frame.inverse, inverse)
+            assert frame.det_inverse == det
+            assert np.array_equal(frame.forward, _indexed_adjugate(inverse) / det)
+
+
 class TestAssemble:
     def test_golden_classical(self, unbalanced_segment):
         frame = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK))
