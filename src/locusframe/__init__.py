@@ -19,17 +19,14 @@ from .locus import (
     MAX_NORM,
     MeasurementError,
     NormProfile,
-    NotQuarterPeriodError,
     PHASE_A_PEAK,
     UndefinedOrientationError,
-    basis_from_samples,
     basis_from_stream,
     basis_from_vectors,
     basis_vectors,
     build_basis,
     degeneracy_metric,
     norm_profile,
-    normal_vector,
     resolve_orientation,
     theta_max_norm,
     theta_phase_a_peak,
@@ -44,10 +41,8 @@ from .sequence import (
     unbalance_metrics,
 )
 from .transform import (
-    FRAME_KINDS,
     FrameTransform,
     SingularMatrixError,
-    TransformedSeries,
     abc_series,
     apply,
     assemble,
@@ -57,9 +52,11 @@ from .transform import (
     pipeline_locus,
 )
 from .waveform import (
+    FRAME_KINDS,
     PhasorScenario,
     ScenarioError,
     ScenarioSegment,
+    TransformedSeries,
     evaluate,
     evaluate_scenario,
     load_scenario,
@@ -72,57 +69,3 @@ from .waveform import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CircularLocusError",
-    "DegenerateLocusError",
-    "FRAME_KINDS",
-    "FrameTransform",
-    "InsufficientRateError",
-    "InsufficientSpanError",
-    "LocusBasis",
-    "LocusError",
-    "MAX_NORM",
-    "MeasurementError",
-    "NormProfile",
-    "NotQuarterPeriodError",
-    "PHASE_A_PEAK",
-    "PhasorScenario",
-    "PhasorTriple",
-    "ScenarioError",
-    "ScenarioSegment",
-    "SequenceComponents",
-    "SingularMatrixError",
-    "TransformedSeries",
-    "UndefinedOrientationError",
-    "ZeroPositiveSequenceError",
-    "abc_series",
-    "apply",
-    "assemble",
-    "basis_from_samples",
-    "basis_from_stream",
-    "basis_from_vectors",
-    "basis_vectors",
-    "build_basis",
-    "clarke_matrix",
-    "degeneracy_metric",
-    "evaluate",
-    "evaluate_scenario",
-    "fortescue",
-    "load_scenario",
-    "norm_profile",
-    "normal_vector",
-    "park_rotate",
-    "parse_scenario",
-    "pipeline_clarke_park",
-    "pipeline_locus",
-    "reconstruct",
-    "resolve_orientation",
-    "sample_series",
-    "segment_at",
-    "theta_max_norm",
-    "theta_phase_a_peak",
-    "to_phasors",
-    "total_phases",
-    "unbalance_metrics",
-    "wrap_angle",
-]

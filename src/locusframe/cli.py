@@ -238,25 +238,22 @@ def cmd_simulate(args) -> int:
         periods = scenario.segments[-1].start_angle / TWO_PI + 1.0
     index = _pick_segment(scenario, args.segment)
 
+    # the grid is checked (exit 2) before the basis (exit 3)
+    abc = transform.abc_series(scenario, args.rate, periods)
     outputs = []
     if "abc" in args.frames:
-        outputs.append(("V_abc.csv", transform.abc_series(scenario, args.rate, periods)))
+        outputs.append(("V_abc.csv", abc))
     if "locus123" in args.frames or "dq0" in args.frames:
-        series123, dq0, _ = transform.pipeline_locus(
-            scenario,
-            args.orientation,
-            args.rate,
-            periods,
-            segment_index=index,
-            normalized=args.normalized,
-        )
+        basis = locus.build_basis(scenario.segments[index], args.orientation)
+        frame = transform.assemble(basis, normalized=args.normalized)
+        series123, dq0 = transform.pipeline_locus(abc, frame)
         label = orientation_label(args.orientation)
         if "locus123" in args.frames:
             outputs.append((f"V_123_{label}.csv", series123))
         if "dq0" in args.frames:
             outputs.append((f"V_dq0_{label}.csv", dq0))
     if "clarke" in args.frames:
-        ab0, clarke_dq0 = transform.pipeline_clarke_park(scenario, args.rate, periods)
+        ab0, clarke_dq0 = transform.pipeline_clarke_park(abc)
         outputs.append(("V_ab0_clarke.csv", ab0))
         if "dq0" in args.frames:
             outputs.append(("V_dq0_clarke.csv", clarke_dq0))

@@ -39,8 +39,6 @@ DEGENERACY_RTOL = 1e-9
 DEGENERACY_ATOL = 1e-12
 #: profiles with a_amplitude <= CIRCLE_RTOL * c_level count as circular
 CIRCLE_RTOL = 1e-9
-#: tolerance on the quarter-period separation of two measurement frames
-QUARTER_PERIOD_TOL = 1e-9
 #: minimum samples per period accepted by basis_from_stream
 MIN_STREAM_RATE = 64
 
@@ -65,10 +63,6 @@ class CircularLocusError(LocusError):
 
 class MeasurementError(LocusError):
     """Base class for sample-based estimation failures."""
-
-
-class NotQuarterPeriodError(MeasurementError):
-    """Two measurement frames are not a quarter period apart."""
 
 
 class InsufficientSpanError(MeasurementError):
@@ -119,22 +113,20 @@ def _cross_and_norms(e1, e2):
     return (cross, *(math.sqrt(v.dot(v)) for v in (e1, e2, cross)))
 
 
-def degeneracy_metric(e1, e2) -> float:
-    """||e1 x e2|| / (||e1|| ||e2||), clipped to [0, 1]; 0 when either norm vanishes."""
-    _, n1, n2, cross_norm = _cross_and_norms(e1, e2)
-    if n1 == 0.0 or n2 == 0.0:
+def _degeneracy(n1, n2, cross_norm) -> float:
+    if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL:
         return 0.0
     return min(1.0, cross_norm / (n1 * n2))
 
 
-def normal_vector(e1, e2) -> np.ndarray:
-    """Unit normal of span(e1, e2), scaled to norm sqrt(3).
+def degeneracy_metric(e1, e2) -> float:
+    """||e1 x e2|| / (||e1|| ||e2||), clipped to [0, 1].
 
-    Raises DegenerateLocusError when e1 and e2 are (nearly) collinear or one of
-    them (nearly) vanishes, i.e. the locus is a line segment and defines no
-    plane.
+    0 when either norm is at most DEGENERACY_ATOL.  basis_from_vectors rejects
+    a pair whose metric is at most DEGENERACY_RTOL.
     """
-    return basis_from_vectors(e1, e2, 0.0).e3
+    _, n1, n2, cross_norm = _cross_and_norms(e1, e2)
+    return _degeneracy(n1, n2, cross_norm)
 
 
 def theta_phase_a_peak(segment: ScenarioSegment) -> float:
@@ -202,11 +194,17 @@ def resolve_orientation(segment: ScenarioSegment, orientation) -> float:
 
 
 def basis_from_vectors(e1, e2, theta_o: float) -> LocusBasis:
-    """Complete a locus basis from two in-plane vectors (adds e3 and metadata)."""
+    """Complete a locus basis from two in-plane vectors (adds e3 and metadata).
+
+    e3 is the unit normal of span(e1, e2) scaled to norm sqrt(3).  Raises
+    DegenerateLocusError when degeneracy_metric(e1, e2) <= DEGENERACY_RTOL,
+    i.e. the locus is a line segment and defines no plane.
+    """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
     cross, n1, n2, cross_norm = _cross_and_norms(e1, e2)
-    if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL or cross_norm <= DEGENERACY_RTOL * n1 * n2:
+    degeneracy = _degeneracy(n1, n2, cross_norm)
+    if degeneracy <= DEGENERACY_RTOL:
         raise DegenerateLocusError(
             f"linear locus: |e1 x e2| = {cross_norm:.3e} with |e1| = {n1:.3e}, |e2| = {n2:.3e}"
         )
@@ -215,7 +213,7 @@ def basis_from_vectors(e1, e2, theta_o: float) -> LocusBasis:
         e2=e2,
         e3=_NORMAL_SCALE * cross / cross_norm,
         theta_o=theta_o,
-        degeneracy=min(1.0, cross_norm / (n1 * n2)),
+        degeneracy=degeneracy,
     )
 
 
@@ -224,21 +222,6 @@ def build_basis(segment: ScenarioSegment, orientation=PHASE_A_PEAK) -> LocusBasi
     theta_o = resolve_orientation(segment, orientation)
     e1, e2 = basis_vectors(segment, theta_o)
     return basis_from_vectors(e1, e2, theta_o)
-
-
-def basis_from_samples(angle1: float, values1, angle2: float, values2):
-    """In-plane basis from two measured triples a quarter period apart.
-
-    e1 and e2 are copies of ``values1`` and ``values2``; the implied
-    orientation angle is ``angle1``.  Raises NotQuarterPeriodError when the
-    angular separation differs from pi/2 by more than QUARTER_PERIOD_TOL.
-    """
-    gap = angle2 - angle1
-    if abs(gap - 0.5 * math.pi) > QUARTER_PERIOD_TOL:
-        raise NotQuarterPeriodError(
-            f"samples are {gap!r} rad apart; expected pi/2 within {QUARTER_PERIOD_TOL}"
-        )
-    return np.array(values1, dtype=float), np.array(values2, dtype=float)
 
 
 def basis_from_stream(series: TransformedSeries, t1_angle: float):

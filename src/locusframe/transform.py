@@ -14,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .locus import LocusBasis, LocusError, PHASE_A_PEAK, build_basis
-from .waveform import (  # FRAME_KINDS and abc_series are re-exported
-    FRAME_KINDS,
-    PhasorScenario,
-    TransformedSeries,
-    evaluate_scenario,
-    sample_angles,
-    sample_series as abc_series,
-    segment_at,
-)
+from .locus import LocusBasis, LocusError
+from .waveform import TransformedSeries
+
+# not called in this module, but benchmark/tracer.py wraps these three names here
+from .locus import build_basis  # noqa: F401
+from .waveform import evaluate_scenario, sample_series as abc_series  # noqa: F401
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -126,48 +122,32 @@ def park_rotate(angle, pair):
     return c * x + s * y, -s * x + c * y
 
 
-def _with_park(angles, coords):
-    d, q = park_rotate(angles, (coords[0], coords[1]))
-    return TransformedSeries("dq0", angles, np.vstack([d, q, coords[2]]))
+def _map_then_rotate(frame_kind, forward, abc: TransformedSeries):
+    """(frame_kind series, dq0 series) of ``forward @ abc.coords``.
 
-
-def pipeline_locus(
-    scenario: PhasorScenario,
-    orientation=PHASE_A_PEAK,
-    samples_per_period: int = 1000,
-    periods: float = 1.0,
-    *,
-    segment_index: int | None = None,
-    normalized: bool = False,
-):
-    """abc -> locus frame -> dq0 over a sampled grid.
-
-    The basis comes from the segment active at the series start unless
-    ``segment_index`` (0-based) picks another one.  The synchronous rotation
-    angle equals the grid angle, i.e. it is null at the series start.
-    Returns (locus123 series, dq0 series, the FrameTransform used).
+    The synchronous rotation angle equals the grid angle, i.e. it is null at
+    the series start; the third channel passes through unchanged.
     """
-    if segment_index is None:
-        segment = segment_at(scenario, 0.0)
-    else:
-        segment = scenario.segments[segment_index]
-    transform = assemble(build_basis(segment, orientation), normalized=normalized)
-    angles = sample_angles(samples_per_period, periods)
-    coords = apply(transform, evaluate_scenario(scenario, angles))
-    series = TransformedSeries("locus123", angles, coords)
-    return series, _with_park(angles, coords), transform
+    coords = forward @ abc.coords
+    d, q = park_rotate(abc.angles, (coords[0], coords[1]))
+    return (
+        TransformedSeries(frame_kind, abc.angles, coords),
+        TransformedSeries("dq0", abc.angles, np.vstack([d, q, coords[2]])),
+    )
 
 
-def pipeline_clarke_park(
-    scenario: PhasorScenario, samples_per_period: int = 1000, periods: float = 1.0
-):
+def pipeline_locus(abc: TransformedSeries, frame: FrameTransform):
+    """abc -> locus frame -> dq0 over a sampled abc series.
+
+    Returns (locus123 series, dq0 series).
+    """
+    return _map_then_rotate("locus123", frame.forward, abc)
+
+
+def pipeline_clarke_park(abc: TransformedSeries):
     """abc -> alpha, beta, 0 -> dq0 with the fixed Clarke basis.
 
     Returns (clarke_ab0 series, dq0 series).  The zero channel is
-    (v_a + v_b + v_c) / 3, the third Clarke row, passed through unchanged by
-    the synchronous rotation.
+    (v_a + v_b + v_c) / 3, the third Clarke row.
     """
-    angles = sample_angles(samples_per_period, periods)
-    coords = clarke_matrix() @ evaluate_scenario(scenario, angles)
-    series = TransformedSeries("clarke_ab0", angles, coords)
-    return series, _with_park(angles, coords)
+    return _map_then_rotate("clarke_ab0", clarke_matrix(), abc)

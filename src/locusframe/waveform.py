@@ -248,6 +248,8 @@ def parse_scenario(text: str) -> PhasorScenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario document is nested too deeply") from exc
     freq = _as_number(_require(doc, "frequency_hz", "scenario"), "frequency_hz")
     if not freq > 0.0:
         raise ScenarioError(f"frequency_hz must be positive, got {freq}")
@@ -276,5 +278,9 @@ def parse_scenario(text: str) -> PhasorScenario:
 
 def load_scenario(path) -> PhasorScenario:
     """Read and parse a scenario file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8: {exc}") from exc
+    return parse_scenario(text)

@@ -12,8 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locusframe import MAX_NORM, PHASE_A_PEAK, TransformedSeries, load_scenario, pipeline_locus
-from locusframe import cli
+from locusframe import (
+    MAX_NORM,
+    PHASE_A_PEAK,
+    TransformedSeries,
+    abc_series,
+    assemble,
+    build_basis,
+    load_scenario,
+    pipeline_locus,
+)
+from locusframe import cli, transform, waveform
 from locusframe.cli import (
     _CSV_BLOCK_ROWS,
     main,
@@ -162,6 +171,39 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    def test_tiny_amplitudes_flagged_as_matrix_rejects_them(self, capsys, tmp_path):
+        # the [degenerate] flag and the basis gate apply one rule
+        doc = {
+            "frequency_hz": 50.0,
+            "segments": [
+                {
+                    "start_periods": 0.0,
+                    "amplitudes_pu": [1e-13, 1e-13, 1e-13],
+                    "phase_offsets_deg": [0.0, 0.0, 0.0],
+                }
+            ],
+        }
+        path = _write_scenario(tmp_path, json.dumps(doc))
+        code, out, _ = _run(capsys, ["validate", str(path)])
+        assert code == 0
+        assert "degeneracy 0.000000  [degenerate]" in out
+        code, _, err = _run(capsys, ["matrix", str(path)])
+        assert code == 3
+        assert "linear locus" in err
+
+    def test_non_utf8_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"frequency_hz": 50.0, "note": "Gr\u00f6\u00dfe"}'.encode("latin-1"))
+        code, out, err = _run(capsys, ["validate", str(path)])
+        _assert_rejected(code, out, err)
+        assert "UTF-8" in err
+
+    def test_deeply_nested_document_rejected(self, capsys, tmp_path):
+        path = _write_scenario(tmp_path, "[" * 100_000 + "]" * 100_000)
+        code, out, err = _run(capsys, ["validate", str(path)])
+        _assert_rejected(code, out, err)
+        assert "nested too deeply" in err
+
     def test_infinite_start_rejected(self, capsys, scenario_path, tmp_path):
         text = scenario_path.read_text(encoding="utf-8")
         assert '"start_periods": 1.0' in text
@@ -269,9 +311,8 @@ class TestSimulate:
     def test_csv_round_trip(self, capsys, scenario_path, tmp_path):
         _run(capsys, ["simulate", str(scenario_path), "--out", str(tmp_path)])
         scenario = load_scenario(scenario_path)
-        series, _, _ = pipeline_locus(
-            scenario, PHASE_A_PEAK, 1000, 2.0, segment_index=1
-        )
+        frame = assemble(build_basis(scenario.segments[1], PHASE_A_PEAK))
+        series, _ = pipeline_locus(abc_series(scenario, 1000, 2.0), frame)
         data = np.genfromtxt(
             tmp_path / "V_123_classical.csv", delimiter=",", names=True
         )
@@ -336,6 +377,38 @@ class TestSimulate:
         )
         assert code == 3
         assert "error:" in err
+
+    def test_default_run_evaluates_scenario_once(self, capsys, scenario_path, tmp_path):
+        # every frame is mapped from the one sampled abc series
+        spy = mock.Mock(wraps=waveform.evaluate_scenario)
+        with mock.patch.object(waveform, "evaluate_scenario", spy), mock.patch.object(
+            transform, "evaluate_scenario", spy
+        ):
+            code, _, _ = _run(capsys, ["simulate", str(scenario_path), "--out", str(tmp_path)])
+        assert code == 0
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("frames", ["locus123", "dq0", "clarke", "abc,locus123,clarke,dq0"])
+    def test_bad_grid_before_degenerate_basis(
+        self, capsys, degenerate_scenario_path, tmp_path, frames
+    ):
+        out_dir = tmp_path / "new"
+        code, out, err = _run(
+            capsys,
+            [
+                "simulate",
+                str(degenerate_scenario_path),
+                "--rate",
+                "0",
+                "--frames",
+                frames,
+                "--out",
+                str(out_dir),
+            ],
+        )
+        _assert_rejected(code, out, err)
+        assert "samples_per_period" in err
+        assert not out_dir.exists()
 
     def test_bad_frame_token(self, scenario_path, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -12,12 +12,10 @@ from locusframe import (
     InsufficientSpanError,
     MAX_NORM,
     MeasurementError,
-    NotQuarterPeriodError,
     PHASE_A_PEAK,
     ScenarioSegment,
     TransformedSeries,
     UndefinedOrientationError,
-    basis_from_samples,
     basis_from_stream,
     basis_from_vectors,
     basis_vectors,
@@ -25,13 +23,13 @@ from locusframe import (
     degeneracy_metric,
     evaluate,
     norm_profile,
-    normal_vector,
     resolve_orientation,
     sample_series,
     theta_max_norm,
     theta_phase_a_peak,
     wrap_angle,
 )
+from locusframe.locus import DEGENERACY_RTOL
 from locusframe.waveform import PhasorScenario, TWO_PI
 
 import support
@@ -73,6 +71,29 @@ class TestDegeneracyMetric:
     def test_zero_vector(self):
         assert degeneracy_metric([0, 0, 0], [1, 0, 0]) == 0.0
 
+    def test_null_floor(self):
+        # orthogonal, but each norm at or below DEGENERACY_ATOL
+        e1, e2 = [1e-13, 0.0, 0.0], [0.0, 1e-13, 0.0]
+        assert degeneracy_metric(e1, e2) == 0.0
+        with pytest.raises(DegenerateLocusError):
+            basis_from_vectors(e1, e2, 0.0)
+
+    def test_metric_is_the_basis_gate(self):
+        rng = np.random.default_rng(17)
+        pairs = rng.normal(size=(600, 2, 3)) * 10.0 ** rng.uniform(-14.0, 1.0, size=(600, 2, 1))
+        # nearly collinear pairs on both sides of DEGENERACY_RTOL
+        tilt = 10.0 ** rng.uniform(-12.0, -6.0, size=(300, 1))
+        pairs[:300, 1] = pairs[:300, 0] * rng.uniform(0.5, 2.0, size=(300, 1)) + tilt * pairs[:300, 1]
+        for e1, e2 in pairs:
+            metric = degeneracy_metric(e1, e2)
+            try:
+                basis = basis_from_vectors(e1, e2, 0.0)
+            except DegenerateLocusError:
+                assert metric <= DEGENERACY_RTOL
+            else:
+                assert metric > DEGENERACY_RTOL
+                assert basis.degeneracy == metric
+
     def test_clipped_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -81,36 +102,38 @@ class TestDegeneracyMetric:
 
 
 class TestNormalVector:
+    """e3 of basis_from_vectors: the plane normal scaled to norm sqrt(3)."""
+
     def test_reference_value(self, unbalanced_segment):
         e1, e2 = basis_vectors(unbalanced_segment, support.THETA_CLASSICAL)
-        assert normal_vector(e1, e2) == pytest.approx(support.E3, abs=1e-12)
+        assert basis_from_vectors(e1, e2, 0.0).e3 == pytest.approx(support.E3, abs=1e-12)
 
     def test_norm_and_orthogonality(self, unbalanced_segment):
         e1, e2 = basis_vectors(unbalanced_segment, 0.81)
-        e3 = normal_vector(e1, e2)
+        e3 = basis_from_vectors(e1, e2, 0.0).e3
         assert np.linalg.norm(e3) == pytest.approx(math.sqrt(3.0))
         assert abs(np.dot(e3, e1)) < 1e-12
         assert abs(np.dot(e3, e2)) < 1e-12
 
     def test_independent_of_orientation(self, unbalanced_segment):
         rng = np.random.default_rng(9)
-        reference = normal_vector(*basis_vectors(unbalanced_segment, 0.0))
+        reference = basis_from_vectors(*basis_vectors(unbalanced_segment, 0.0), 0.0).e3
         for theta_o in rng.uniform(-math.pi, math.pi, size=50):
-            e3 = normal_vector(*basis_vectors(unbalanced_segment, theta_o))
+            e3 = basis_from_vectors(*basis_vectors(unbalanced_segment, theta_o), theta_o).e3
             assert e3 == pytest.approx(reference, abs=1e-12)
 
     def test_collinear_raises(self):
         with pytest.raises(DegenerateLocusError):
-            normal_vector([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
+            basis_from_vectors([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], 0.0)
 
     def test_zero_vector_raises(self):
         with pytest.raises(DegenerateLocusError):
-            normal_vector([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+            basis_from_vectors([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.0)
 
     def test_single_phase_segment_raises(self):
         segment = ScenarioSegment(0.0, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
         with pytest.raises(DegenerateLocusError):
-            normal_vector(*basis_vectors(segment, 0.0))
+            basis_from_vectors(*basis_vectors(segment, 0.0), 0.0)
 
 
 def _pairs_with_numpy_formulas():
@@ -133,7 +156,6 @@ def test_scalar_kernels_bit_identical_to_numpy_formulas():
         basis = basis_from_vectors(e1, e2, 0.0)
         assert np.array_equal(basis.e3, e3)
         assert basis.degeneracy == degeneracy
-        assert np.array_equal(normal_vector(e1, e2), e3)
         assert degeneracy_metric(e1, e2) == degeneracy
 
 
@@ -263,31 +285,6 @@ def test_build_basis_degenerate_segment_raises():
         build_basis(segment, PHASE_A_PEAK)
 
 
-class TestBasisFromSamples:
-    def test_exact_quarter_period(self, unbalanced_segment):
-        t1 = 0.3
-        t2 = t1 + math.pi / 2
-        e1, e2 = basis_from_samples(
-            t1, evaluate(unbalanced_segment, t1), t2, evaluate(unbalanced_segment, t2)
-        )
-        expected1, expected2 = basis_vectors(unbalanced_segment, t1)
-        assert e1 == pytest.approx(expected1)
-        assert e2 == pytest.approx(expected2)
-
-    def test_wrong_gap_rejected(self, unbalanced_segment):
-        with pytest.raises(NotQuarterPeriodError):
-            basis_from_samples(
-                0.0, evaluate(unbalanced_segment, 0.0), 1.5, evaluate(unbalanced_segment, 1.5)
-            )
-
-    def test_returns_copies(self, unbalanced_segment):
-        t2 = 0.3 + math.pi / 2
-        values1 = evaluate(unbalanced_segment, 0.3)
-        e1, _ = basis_from_samples(0.3, values1, t2, evaluate(unbalanced_segment, t2))
-        e1[0] = 99.0
-        assert values1[0] != 99.0
-
-
 class TestBasisFromStream:
     @staticmethod
     def _scenario(segment):
@@ -337,7 +334,8 @@ def test_basis_from_vectors_round_trip(unbalanced_segment):
     e1, e2 = basis_vectors(unbalanced_segment, 0.7)
     basis = basis_from_vectors(e1, e2, 0.7)
     assert basis.theta_o == 0.7
-    assert basis.e3 == pytest.approx(normal_vector(e1, e2))
+    cross = np.cross(e1, e2)
+    assert basis.e3 == pytest.approx(math.sqrt(3.0) * cross / np.linalg.norm(cross))
 
 
 def test_wrap_angle_reexported():

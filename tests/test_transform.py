@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from locusframe import (
-    DegenerateLocusError,
     LocusBasis,
     MAX_NORM,
     PHASE_A_PEAK,
@@ -260,9 +259,8 @@ class TestTransformedSeries:
 
 class TestPipelineLocus:
     def test_unit_quadrature_on_basis_segment(self, step_scenario):
-        series, dq0, frame = pipeline_locus(
-            step_scenario, PHASE_A_PEAK, 1000, 2.0, segment_index=1
-        )
+        frame = assemble(build_basis(step_scenario.segments[1], PHASE_A_PEAK))
+        series, dq0 = pipeline_locus(abc_series(step_scenario, 1000, 2.0), frame)
         assert series.frame_kind == "locus123"
         mask = series.angles >= TWO_PI - 1e-12
         v1, v2, v3 = series.coords
@@ -271,9 +269,8 @@ class TestPipelineLocus:
         assert np.max(np.abs(v3[mask])) < 1e-9
 
     def test_dq_constants(self, step_scenario):
-        _, dq0, frame = pipeline_locus(
-            step_scenario, PHASE_A_PEAK, 1000, 2.0, segment_index=1
-        )
+        frame = assemble(build_basis(step_scenario.segments[1], PHASE_A_PEAK))
+        _, dq0 = pipeline_locus(abc_series(step_scenario, 1000, 2.0), frame)
         mask = dq0.angles >= TWO_PI - 1e-12
         d, q, zero = dq0.coords
         assert np.ptp(d[mask]) < 1e-9
@@ -282,24 +279,9 @@ class TestPipelineLocus:
         assert q[mask][0] == pytest.approx(support.DQ_CONSTANTS[1], abs=1e-9)
         assert np.max(np.abs(zero[mask])) < 1e-9
 
-    def test_default_segment_is_series_start(self, step_scenario):
-        series, _, frame = pipeline_locus(step_scenario, PHASE_A_PEAK, 500, 1.0)
-        # basis from the balanced first segment: unit quadrature over it
-        mask = series.angles < TWO_PI
-        v1, v2, v3 = series.coords
-        assert np.max(np.abs(v1[mask] ** 2 + v2[mask] ** 2 - 1.0)) < 1e-9
-        assert frame.theta_o == pytest.approx(math.radians(50.0))
-
-    def test_degenerate_propagates(self):
-        segment = ScenarioSegment(0.0, (0.7, 1.0, 0.0), (0.0, 2.0 * math.pi / 3.0, 0.0))
-        with pytest.raises(DegenerateLocusError):
-            pipeline_locus(_scenario(segment), PHASE_A_PEAK, 100, 1.0)
-
     def test_matches_manual_path(self, unbalanced_segment):
-        scenario = _scenario(unbalanced_segment)
-        series, _, frame = pipeline_locus(scenario, MAX_NORM, 200, 1.0)
         manual = assemble(build_basis(unbalanced_segment, MAX_NORM))
-        assert frame.forward == pytest.approx(manual.forward)
+        series, _ = pipeline_locus(abc_series(_scenario(unbalanced_segment), 200, 1.0), manual)
         angles = sample_angles(200, 1.0)
         expected = manual.forward @ evaluate(unbalanced_segment, angles)
         assert series.coords == pytest.approx(expected)
@@ -308,7 +290,7 @@ class TestPipelineLocus:
 class TestPipelineClarkePark:
     def test_balanced_constants(self):
         scenario = _scenario(support.balanced_segment(offset=0.3))
-        ab0, dq0 = pipeline_clarke_park(scenario, 500, 1.0)
+        ab0, dq0 = pipeline_clarke_park(abc_series(scenario, 500, 1.0))
         assert ab0.frame_kind == "clarke_ab0"
         alpha, beta, zero = ab0.coords
         assert np.max(np.abs(alpha**2 + beta**2 - 1.0)) < 1e-12
@@ -318,7 +300,7 @@ class TestPipelineClarkePark:
         assert np.ptp(q) < 1e-12
 
     def test_unbalanced_oscillates(self, unbalanced_segment):
-        ab0, dq0 = pipeline_clarke_park(_scenario(unbalanced_segment), 500, 1.0)
+        ab0, dq0 = pipeline_clarke_park(abc_series(_scenario(unbalanced_segment), 500, 1.0))
         d, q, zero = dq0.coords
         assert np.ptp(d) > 0.01
         assert np.ptp(q) > 0.01
@@ -326,12 +308,12 @@ class TestPipelineClarkePark:
 
     def test_zero_input(self):
         scenario = _scenario(ScenarioSegment(0.0, (0.0,) * 3, (0.0,) * 3))
-        ab0, dq0 = pipeline_clarke_park(scenario, 100, 1.0)
+        ab0, dq0 = pipeline_clarke_park(abc_series(scenario, 100, 1.0))
         assert np.all(ab0.coords == 0.0)
         assert np.all(dq0.coords == 0.0)
 
     def test_zero_channel_is_scaled_sum(self, unbalanced_segment):
-        ab0, _ = pipeline_clarke_park(_scenario(unbalanced_segment), 100, 1.0)
+        ab0, _ = pipeline_clarke_park(abc_series(_scenario(unbalanced_segment), 100, 1.0))
         angles = sample_angles(100, 1.0)
         values = evaluate(unbalanced_segment, angles)
         assert ab0.coords[2] == pytest.approx(values.sum(axis=0) / 3.0, abs=1e-12)
