@@ -42,7 +42,6 @@ from .sequence import (
 )
 from .transform import (
     FrameTransform,
-    SingularMatrixError,
     abc_series,
     apply,
     assemble,

@@ -116,9 +116,9 @@ def orientation_label(orientation) -> str:
 
 
 def matrix_lines(matrix) -> list[str]:
-    """Rows of a 3x3 matrix, each entry sign-aligned with 3 decimals."""
+    """Rows of a 3x3 matrix, each entry sign-aligned with 3 decimals after a space."""
     matrix = np.asarray(matrix, dtype=float)
-    return ["".join(f"{entry:8.3f}" for entry in row) for row in matrix]
+    return ["".join(f" {entry:7.3f}" for entry in row) for row in matrix]
 
 
 def _fixed_rows(rows: np.ndarray) -> bytes | None:
@@ -173,14 +173,18 @@ def write_series_csv(path, series: waveform.TransformedSeries) -> None:
             handle.write(text)
 
 
-def _segment_degeneracy(segment) -> float:
-    # canonical probe orientation; the metric is zero for a linear locus
-    # no matter where it is probed
+def _segment_degeneracy(segment):
+    # (degeneracy, whether the basis gate rejects the segment) at a canonical
+    # probe orientation; the gate's g does not depend on the orientation
     try:
         theta = locus.theta_phase_a_peak(segment)
     except locus.UndefinedOrientationError:
         theta = 0.0
-    return locus.degeneracy_metric(*locus.basis_vectors(segment, theta))
+    e1, e2 = locus.basis_vectors(segment, theta)
+    try:
+        return locus.LocusBasis(e1, e2, theta).degeneracy, False
+    except locus.DegenerateLocusError:
+        return locus.degeneracy_metric(e1, e2), True
 
 
 def _pick_segment(scenario, index_1based: int | None):
@@ -201,8 +205,8 @@ def cmd_validate(args) -> int:
     for k, segment in enumerate(scenario.segments, start=1):
         amps = " ".join(f"{a:.6f}" for a in segment.amplitudes)
         offs = " ".join(f"{math.degrees(p):.6f}" for p in segment.phase_offsets)
-        metric = _segment_degeneracy(segment)
-        flag = "  [degenerate]" if metric <= locus.DEGENERACY_RTOL else ""
+        metric, degenerate = _segment_degeneracy(segment)
+        flag = "  [degenerate]" if degenerate else ""
         print(
             f"  segment {k}: start {segment.start_angle / TWO_PI:.6f} periods, "
             f"amplitudes {amps}, offsets_deg {offs}, degeneracy {metric:.6f}{flag}"
@@ -287,9 +291,7 @@ def cmd_measure(args) -> int:
 
     probes = np.array([args.t1_angle, args.t1_angle + 0.5 * math.pi])
     exact = waveform.evaluate_scenario(scenario, probes)
-    analytic = transform.assemble(
-        locus.basis_from_vectors(exact[:, 0], exact[:, 1], args.t1_angle)
-    )
+    analytic = transform.assemble(locus.basis_from_vectors(*exact.T, args.t1_angle))
     deviation = float(np.max(np.abs(measured.forward - analytic.forward)))
 
     # only now: a rejected measurement leaves no directory

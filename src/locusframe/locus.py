@@ -15,11 +15,12 @@ independent of theta_o.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .waveform import (
+    AMPLITUDE_MAX,
     ScenarioSegment,
     TransformedSeries,
     evaluate,
@@ -33,8 +34,8 @@ PHASE_A_PEAK = "phase-a-peak"
 #: orientation that aligns e1 with the semi-major axis of the locus
 MAX_NORM = "max-norm"
 
-#: relative cross-product threshold at or below which a locus counts as linear
-DEGENERACY_RTOL = 1e-9
+#: g = 2|e1 x e2|/(|e1|^2 + |e2|^2) at or below which a locus counts as linear
+DEGENERACY_RTOL = 1e-8
 #: absolute norm floor below which a basis vector counts as null
 DEGENERACY_ATOL = 1e-12
 #: profiles with a_amplitude <= CIRCLE_RTOL * c_level count as circular
@@ -86,15 +87,33 @@ class NormProfile:
 class LocusBasis:
     """Locus-aligned basis: e1, e2 span the locus plane, e3 is the scaled normal.
 
-    ``degeneracy`` is ||e1 x e2|| / (||e1|| ||e2||) in [0, 1]; values near zero
-    flag a (nearly) linear locus.
+    e3 and ``degeneracy`` (see degeneracy_metric) are derived.  Raises
+    DegenerateLocusError unless both norms exceed DEGENERACY_ATOL and
+    g = 2||e1 x e2|| / (||e1||^2 + ||e2||^2) exceeds DEGENERACY_RTOL; g is
+    2ab/(a^2 + b^2) for the ellipse's semi-axes a, b at every orientation,
+    and cond([e1 e2 e3]) is about 2/g for a locus of unit size.
     """
 
     e1: np.ndarray
     e2: np.ndarray
-    e3: np.ndarray
     theta_o: float
-    degeneracy: float
+    e3: np.ndarray = field(init=False)
+    degeneracy: float = field(init=False)
+
+    def __post_init__(self):
+        e1 = np.ascontiguousarray(self.e1, dtype=float)
+        e2 = np.ascontiguousarray(self.e2, dtype=float)
+        cross, n1, n2, cross_norm = _cross_and_norms(e1, e2)
+        g = 2.0 * cross_norm / (n1 * n1 + n2 * n2) if min(n1, n2) > DEGENERACY_ATOL else 0.0
+        if g <= DEGENERACY_RTOL:
+            raise DegenerateLocusError(
+                f"linear locus: g = 2|e1 x e2|/(|e1|^2 + |e2|^2) = {g:.3e} "
+                f"with |e1| = {n1:.3e}, |e2| = {n2:.3e}"
+            )
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "e3", _NORMAL_SCALE * cross / cross_norm)
+        object.__setattr__(self, "degeneracy", min(1.0, cross_norm / (n1 * n2)))
 
 
 def basis_vectors(segment: ScenarioSegment, theta_o: float):
@@ -105,28 +124,28 @@ def basis_vectors(segment: ScenarioSegment, theta_o: float):
 def _cross_and_norms(e1, e2):
     """(e1 x e2, ||e1||, ||e2||, ||e1 x e2||) as floats, bit for bit as np.cross
     and np.linalg.norm give them: the terms in np.cross's order, each norm
-    sqrt(v . v) with np.dot on a contiguous vector, as np.linalg.norm does."""
+    sqrt(v . v) with np.dot on a contiguous vector, as np.linalg.norm does.
+    Raises LocusError on a component that is not finite or above AMPLITUDE_MAX,
+    before any product can overflow."""
     e1 = np.ascontiguousarray(e1, dtype=float)
     e2 = np.ascontiguousarray(e2, dtype=float)
     (x1, y1, z1), (x2, y2, z2) = e1.tolist(), e2.tolist()
+    if not all(abs(x) <= AMPLITUDE_MAX for x in (x1, y1, z1, x2, y2, z2)):
+        raise LocusError(
+            f"basis vector not finite or above {AMPLITUDE_MAX:.0e}: "
+            f"e1 = {e1.tolist()}, e2 = {e2.tolist()}"
+        )
     cross = np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2])
     return (cross, *(math.sqrt(v.dot(v)) for v in (e1, e2, cross)))
 
 
-def _degeneracy(n1, n2, cross_norm) -> float:
+def degeneracy_metric(e1, e2) -> float:
+    """||e1 x e2|| / (||e1|| ||e2||), clipped to [0, 1]; 0 when either norm is at
+    most DEGENERACY_ATOL.  It is never below the g of the LocusBasis gate."""
+    _, n1, n2, cross_norm = _cross_and_norms(e1, e2)
     if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL:
         return 0.0
     return min(1.0, cross_norm / (n1 * n2))
-
-
-def degeneracy_metric(e1, e2) -> float:
-    """||e1 x e2|| / (||e1|| ||e2||), clipped to [0, 1].
-
-    0 when either norm is at most DEGENERACY_ATOL.  basis_from_vectors rejects
-    a pair whose metric is at most DEGENERACY_RTOL.
-    """
-    _, n1, n2, cross_norm = _cross_and_norms(e1, e2)
-    return _degeneracy(n1, n2, cross_norm)
 
 
 def theta_phase_a_peak(segment: ScenarioSegment) -> float:
@@ -194,27 +213,8 @@ def resolve_orientation(segment: ScenarioSegment, orientation) -> float:
 
 
 def basis_from_vectors(e1, e2, theta_o: float) -> LocusBasis:
-    """Complete a locus basis from two in-plane vectors (adds e3 and metadata).
-
-    e3 is the unit normal of span(e1, e2) scaled to norm sqrt(3).  Raises
-    DegenerateLocusError when degeneracy_metric(e1, e2) <= DEGENERACY_RTOL,
-    i.e. the locus is a line segment and defines no plane.
-    """
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    cross, n1, n2, cross_norm = _cross_and_norms(e1, e2)
-    degeneracy = _degeneracy(n1, n2, cross_norm)
-    if degeneracy <= DEGENERACY_RTOL:
-        raise DegenerateLocusError(
-            f"linear locus: |e1 x e2| = {cross_norm:.3e} with |e1| = {n1:.3e}, |e2| = {n2:.3e}"
-        )
-    return LocusBasis(
-        e1=e1,
-        e2=e2,
-        e3=_NORMAL_SCALE * cross / cross_norm,
-        theta_o=theta_o,
-        degeneracy=degeneracy,
-    )
+    """The LocusBasis of two in-plane vectors; see LocusBasis for what it rejects."""
+    return LocusBasis(e1, e2, theta_o)
 
 
 def build_basis(segment: ScenarioSegment, orientation=PHASE_A_PEAK) -> LocusBasis:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .locus import LocusBasis, LocusError
+from .locus import LocusBasis
 from .waveform import TransformedSeries
 
 # not called in this module, but benchmark/tracer.py wraps these three names here
@@ -22,10 +22,6 @@ from .locus import build_basis  # noqa: F401
 from .waveform import evaluate_scenario, sample_series as abc_series  # noqa: F401
 
 _SQRT3 = math.sqrt(3.0)
-
-
-class SingularMatrixError(LocusError):
-    """A frame matrix is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -71,19 +67,15 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
 
     With ``normalized`` the in-plane columns are rescaled to unit vectors, so
     mapped coordinates keep the amplitudes ||e1|| and ||e2|| instead of 1.
-    Raises SingularMatrixError when |det| <= 1e-12 times the product of the
-    column norms (unreachable for a basis that passed the degeneracy gate).
+    A LocusBasis is valid by construction, so the determinant is never zero.
     """
     e1, e2 = basis.e1, basis.e2
     if normalized:
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = e2 / np.linalg.norm(e2)
+        # sqrt(v . v) on a contiguous vector, as np.linalg.norm computes it
+        e1 = e1 / math.sqrt(e1.dot(e1))
+        e2 = e2 / math.sqrt(e2.dot(e2))
     inverse = np.column_stack([e1, e2, basis.e3])
     det = determinant3(inverse)
-    # each column's squares summed row by row, as np.linalg.norm(axis=0) sums them
-    n1, n2, n3 = (math.sqrt(x * x + y * y + z * z) for x, y, z in zip(*inverse.tolist()))
-    if abs(det) <= 1e-12 * n1 * n2 * n3:
-        raise SingularMatrixError(f"frame matrix is singular: det = {det:.3e}")
     forward = adjugate3(inverse) / det
     return FrameTransform(
         forward=forward,

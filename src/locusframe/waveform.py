@@ -21,6 +21,9 @@ TWO_PI = 2.0 * math.pi
 #: Structural phase displacements of phases a, b, c.
 STRUCTURAL_SHIFTS = (0.0, -TWO_PI / 3.0, TWO_PI / 3.0)
 
+#: largest amplitude: keeps |e1 x e2|^2, which grows as V^4, far inside the float range
+AMPLITUDE_MAX = 1e50
+
 
 class ScenarioError(ValueError):
     """Invalid scenario data or scenario document."""
@@ -49,6 +52,10 @@ class ScenarioSegment:
             raise ScenarioError("amplitudes and phase_offsets must each hold three values")
         if min(self.amplitudes) < 0.0:
             raise ScenarioError(f"negative amplitude: {tuple(self.amplitudes)}")
+        if not all(a <= AMPLITUDE_MAX for a in self.amplitudes):
+            raise ScenarioError(
+                f"amplitude not finite or above {AMPLITUDE_MAX:.0e}: {tuple(self.amplitudes)}"
+            )
         object.__setattr__(self, "start_angle", float(self.start_angle))
         object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
         # stored offsets live in (-pi, pi]

@@ -1,15 +1,21 @@
 """Command-line behavior: output formats, file artifacts, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locusframe import (
@@ -18,11 +24,15 @@ from locusframe import (
     TransformedSeries,
     abc_series,
     assemble,
+    basis_vectors,
     build_basis,
+    degeneracy_metric,
     load_scenario,
     pipeline_locus,
 )
 from locusframe import cli, transform, waveform
+from locusframe.locus import DEGENERACY_RTOL
+from locusframe.waveform import AMPLITUDE_MAX
 from locusframe.cli import (
     _CSV_BLOCK_ROWS,
     main,
@@ -52,9 +62,10 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _assert_rejected(code, out, err):
-    """Exit 2 with one error line on stderr, no traceback, nothing on stdout."""
-    assert code == 2
+def _assert_rejected(code, out, err, expected=2):
+    """The expected exit code with one error line on stderr, no traceback,
+    nothing on stdout."""
+    assert code == expected
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
@@ -65,6 +76,22 @@ def _write_scenario(tmp_path, text):
     path = tmp_path / "scenario.json"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _one_segment_doc(amplitudes, offsets_deg):
+    segment = {
+        "start_periods": 0.0,
+        "amplitudes_pu": list(amplitudes),
+        "phase_offsets_deg": list(offsets_deg),
+    }
+    return {"frequency_hz": 50.0, "segments": [segment]}
+
+
+def _near_linear_path(tmp_path, eps_deg):
+    """Offsets (0, 120 + eps, -120) degrees: the total phases agree up to eps,
+    so the locus is an ellipse with axis ratio about eps in radians."""
+    doc = _one_segment_doc((1.0, 1.0, 1.0), (0.0, 120.0 + eps_deg, -120.0))
+    return _write_scenario(tmp_path, json.dumps(doc))
 
 
 def _deviation(stdout: str) -> float:
@@ -570,6 +597,170 @@ class TestMeasure:
         np.testing.assert_allclose(added, expected, rtol=0.0, atol=1e-6)
         channel_major = np.random.default_rng(3).normal(0.0, 0.01, size=(3, n)).T
         assert np.max(np.abs(added - channel_major)) > 1e-3
+
+
+class TestFrameGate:
+    """One gate on the locus shape and one bound on amplitudes."""
+
+    @pytest.mark.parametrize("eps_deg", [1e-7, 1e-9])
+    def test_near_linear_locus_rejected(self, capsys, tmp_path, eps_deg):
+        path = _near_linear_path(tmp_path, eps_deg)
+        e1, e2 = basis_vectors(load_scenario(path).segments[0], 0.0)
+        code, out, _ = _run(capsys, ["validate", str(path)])
+        assert code == 0
+        # the printed degeneracy stays the cross share, the flag is the gate
+        assert f"degeneracy {degeneracy_metric(e1, e2):.6f}  [degenerate]" in out
+        if eps_deg == 1e-7:
+            assert "degeneracy 0.816497  [degenerate]" in out
+        n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
+        g = 2.0 * np.linalg.norm(np.cross(e1, e2)) / (n1**2 + n2**2)
+        assert 0.0 < g <= DEGENERACY_RTOL
+        out_dir = tmp_path / "out"
+        simulate = ["simulate", str(path), "--periods", "0.05", "--rate", "64"]
+        for argv in (["matrix", str(path)], simulate + ["--out", str(out_dir)]):
+            code, out, err = _run(capsys, argv)
+            _assert_rejected(code, out, err, expected=3)
+            assert f"linear locus: g = 2|e1 x e2|/(|e1|^2 + |e2|^2) = {g:.3e} " in err
+        assert not out_dir.exists()
+
+    def test_ill_conditioned_locus_kept_with_entries_apart(self, capsys, tmp_path):
+        # eps = 1e-3 degrees: cond about 1.2e5, well above the gate, and
+        # forward entries wider than their 7-character field
+        path = _near_linear_path(tmp_path, 1e-3)
+        code, out, _ = _run(capsys, ["matrix", str(path)])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[3] == "forward:" and lines[7] == "inverse:"
+        forward = np.array([[float(x) for x in line.split()] for line in lines[4:7]])
+        frame = assemble(build_basis(load_scenario(path).segments[0]))
+        assert forward.shape == (3, 3)
+        assert np.abs(frame.forward).max() > 1e4
+        assert np.abs(forward - frame.forward).max() < 5e-4
+
+    @pytest.mark.parametrize("amplitude", [1e150, 1e154, 1e160, 1e200])
+    @pytest.mark.parametrize("subcommand", ["validate", "matrix", "simulate", "measure"])
+    def test_amplitude_beyond_bound_rejected(self, capsys, tmp_path, subcommand, amplitude):
+        doc = _one_segment_doc((amplitude, amplitude, amplitude), (0.0, 10.0, 0.0))
+        path = _write_scenario(tmp_path, json.dumps(doc))
+        argv = [subcommand, str(path)]
+        if subcommand in ("simulate", "measure"):
+            argv += ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = _run(capsys, argv)
+        _assert_rejected(code, out, err)
+        assert f"above {AMPLITUDE_MAX:.0e}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_amplitude_at_bound_runs(self, capsys, tmp_path):
+        amplitudes = (AMPLITUDE_MAX, 0.5 * AMPLITUDE_MAX, 0.2 * AMPLITUDE_MAX)
+        doc = _one_segment_doc(amplitudes, (0.0, 10.0, 0.0))
+        path = _write_scenario(tmp_path, json.dumps(doc))
+        for argv in (
+            ["validate", str(path)],
+            ["matrix", str(path)],
+            ["simulate", str(path), "--out", str(tmp_path)],
+            ["measure", str(path), "--out", str(tmp_path)],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, err = _run(capsys, argv)
+            assert (code, err) == (0, "")
+            assert "nan" not in out and "inf" not in out
+
+    def test_overflowing_noise_rejected(self, capsys, scenario_path, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ["measure", str(scenario_path), "--noise", "1e300", "--out", str(out_dir)]
+        code, out, err = _run(capsys, argv)
+        _assert_rejected(code, out, err, expected=3)
+        assert "not finite or above" in err
+        assert not out_dir.exists()
+
+
+_OFFSET_BASES = (0.0, 60.0, 120.0, 180.0, -60.0, -120.0)
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """(scenario document, measure noise sigma): amplitudes over 10^+-300, offsets
+    near multiples of 60 degrees, so near-linear loci are frequent."""
+    segments = []
+    for start in (0.0, 0.02)[: draw(st.integers(1, 2))]:
+        if draw(st.booleans()):  # one scale for the three phases
+            scale = 10.0 ** draw(st.integers(-300, 300))
+            amplitudes = [scale * draw(st.floats(0.0, 1.2)) for _ in range(3)]
+        else:
+            amplitudes = [
+                draw(st.floats(0.0, 9.99)) * 10.0 ** draw(st.integers(-300, 300))
+                for _ in range(3)
+            ]
+        offsets = [
+            draw(st.sampled_from(_OFFSET_BASES))
+            + draw(st.sampled_from((-1.0, 0.0, 1.0))) * 10.0 ** draw(st.floats(-12.0, 1.0))
+            for _ in range(3)
+        ]
+        segments.append(
+            {"start_periods": start, "amplitudes_pu": amplitudes, "phase_offsets_deg": offsets}
+        )
+    noise = draw(st.one_of(st.just(0.0), st.integers(-3, 307).map(lambda k: 10.0**k)))
+    return {"frequency_hz": 50.0, "segments": segments}, noise
+
+
+def _check_run(argv, out_dir=None):
+    """Finite output with exit 0, or exit 2/3/4 with one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code != 0:
+        assert code in (2, 3, 4)
+        _assert_rejected(code, out, err, expected=code)
+        assert out_dir is None or not out_dir.exists()
+        return out
+    assert err == ""
+    for token in re.split(r"[\s,:]+", out):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), out
+    for csv in out_dir.iterdir() if out_dir is not None else ():
+        data = csv.read_bytes()
+        assert b"nan" not in data and b"inf" not in data, csv.name
+    return out
+
+
+_FUZZ_EXAMPLES = [
+    (_one_segment_doc((1e154, 1e154, 1e154), (0.0, 10.0, 0.0)), 0.0),
+    (_one_segment_doc((1e200, 1e200, 1e200), (0.0, 10.0, 0.0)), 0.0),
+    (_one_segment_doc((1.0, 1.0, 1.0), (0.0, 120.0 + 1e-7, -120.0)), 0.0),
+    (_one_segment_doc((0.7, 1.0, 0.4), (-70.0, -10.0, -90.0)), 1e300),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_fuzz_cases())
+@example(case=_FUZZ_EXAMPLES[0])
+@example(case=_FUZZ_EXAMPLES[1])
+@example(case=_FUZZ_EXAMPLES[2])
+@example(case=_FUZZ_EXAMPLES[3])
+def test_cli_fuzz_finite_or_one_error_line(case):
+    doc, noise = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        _check_run(["validate", str(path)])
+        out = _check_run(["matrix", str(path)])
+        if out:
+            # each forward and inverse row: three numbers, never run together
+            lines = out.splitlines()
+            assert all(len(line.split()) == 3 for line in lines[4:7] + lines[8:11])
+        out_dir = Path(tmp) / "simulate"
+        argv = ["simulate", str(path), "--periods", "0.05", "--rate", "64"]
+        _check_run(argv + ["--out", str(out_dir)], out_dir)
+        out_dir = Path(tmp) / "measure"
+        argv = ["measure", str(path), "--noise", repr(noise), "--out", str(out_dir)]
+        _check_run(argv, out_dir)
 
 
 def test_csv_tables_built_on_first_write(scenario_path, tmp_path):

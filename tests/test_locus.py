@@ -29,7 +29,7 @@ from locusframe import (
     theta_phase_a_peak,
     wrap_angle,
 )
-from locusframe.locus import DEGENERACY_RTOL
+from locusframe.locus import DEGENERACY_ATOL, DEGENERACY_RTOL
 from locusframe.waveform import PhasorScenario, TWO_PI
 
 import support
@@ -84,15 +84,26 @@ class TestDegeneracyMetric:
         # nearly collinear pairs on both sides of DEGENERACY_RTOL
         tilt = 10.0 ** rng.uniform(-12.0, -6.0, size=(300, 1))
         pairs[:300, 1] = pairs[:300, 0] * rng.uniform(0.5, 2.0, size=(300, 1)) + tilt * pairs[:300, 1]
+        # a minor axis far below the major one at a right angle: the cross
+        # share stays 1 while g = 2ab/(a^2 + b^2) falls on both sides of the gate
+        ratio = 10.0 ** rng.uniform(-11.0, -6.0, size=(100, 1))
+        pairs[300:400, 1] = np.cross(pairs[300:400, 0], rng.normal(size=(100, 3)))
+        pairs[300:400, 1] *= ratio * np.linalg.norm(pairs[300:400, 0], axis=1, keepdims=True)
+        pairs[300:400, 1] /= np.linalg.norm(pairs[300:400, 1], axis=1, keepdims=True)
+        rejected = 0
         for e1, e2 in pairs:
-            metric = degeneracy_metric(e1, e2)
+            n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
+            g = 2.0 * np.linalg.norm(np.cross(e1, e2)) / (n1**2 + n2**2)
+            should_reject = min(n1, n2) <= DEGENERACY_ATOL or g <= DEGENERACY_RTOL
             try:
                 basis = basis_from_vectors(e1, e2, 0.0)
             except DegenerateLocusError:
-                assert metric <= DEGENERACY_RTOL
+                assert should_reject
+                rejected += 1
             else:
-                assert metric > DEGENERACY_RTOL
-                assert basis.degeneracy == metric
+                assert not should_reject
+                assert basis.degeneracy == degeneracy_metric(e1, e2)
+        assert 100 < rejected < 500
 
     def test_clipped_to_one(self):
         rng = np.random.default_rng(5)

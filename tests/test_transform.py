@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from locusframe import (
+    DegenerateLocusError,
     LocusBasis,
     MAX_NORM,
     PHASE_A_PEAK,
     PhasorScenario,
     ScenarioSegment,
-    SingularMatrixError,
     TransformedSeries,
     abc_series,
     apply,
@@ -169,13 +169,19 @@ class TestAssemble:
             assert abs(v3) < 1e-9
 
     def test_singular_gate(self):
-        # bypass the degeneracy gate with a hand-built basis whose third
-        # column lies in the e1/e2 plane
+        # a LocusBasis is valid by construction: a collinear pair is rejected,
+        # and e3 (so a frame with a singular third column) cannot be handed in
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
-        fake = LocusBasis(e1=e1, e2=e2, e3=e1 + e2, theta_o=0.0, degeneracy=1.0)
-        with pytest.raises(SingularMatrixError):
-            assemble(fake)
+        with pytest.raises(DegenerateLocusError, match="linear locus"):
+            LocusBasis(e1=e1, e2=2.0 * e1, theta_o=0.0)
+        with pytest.raises(TypeError):
+            LocusBasis(e1=e1, e2=e2, e3=e1 + e2, theta_o=0.0)
+        with pytest.raises(TypeError):
+            LocusBasis(e1=e1, e2=e2, theta_o=0.0, degeneracy=1.0)
+        basis = LocusBasis(e1, e2, 0.0)
+        assert basis.e3 == pytest.approx([0.0, 0.0, math.sqrt(3.0)])
+        assert assemble(basis).det_inverse == pytest.approx(math.sqrt(3.0))
 
 
 class TestApply:
