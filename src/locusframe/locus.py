@@ -121,22 +121,26 @@ def basis_vectors(segment: ScenarioSegment, theta_o: float):
     return evaluate(segment, theta_o), evaluate(segment, theta_o + 0.5 * math.pi)
 
 
+def _cross(u, v):
+    """u x v of two float triples, the terms in np.cross's order, so bit for bit."""
+    (x1, y1, z1), (x2, y2, z2) = u, v
+    return (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+
+
 def _cross_and_norms(e1, e2):
     """(e1 x e2, ||e1||, ||e2||, ||e1 x e2||) as floats, bit for bit as np.cross
-    and np.linalg.norm give them: the terms in np.cross's order, each norm
-    sqrt(v . v) with np.dot on a contiguous vector, as np.linalg.norm does.
-    Raises LocusError on a component that is not finite or above AMPLITUDE_MAX,
-    before any product can overflow."""
+    and np.linalg.norm give them: each norm is sqrt(v . v) with np.dot on a
+    contiguous vector, as np.linalg.norm does.  Raises LocusError on a component
+    that is not finite or above AMPLITUDE_MAX, before any product can overflow."""
     e1 = np.ascontiguousarray(e1, dtype=float)
     e2 = np.ascontiguousarray(e2, dtype=float)
-    (x1, y1, z1), (x2, y2, z2) = e1.tolist(), e2.tolist()
-    if not all(abs(x) <= AMPLITUDE_MAX for x in (x1, y1, z1, x2, y2, z2)):
+    u, v = e1.tolist(), e2.tolist()
+    if not all(abs(x) <= AMPLITUDE_MAX for x in (*u, *v)):
         raise LocusError(
-            f"basis vector not finite or above {AMPLITUDE_MAX:.0e}: "
-            f"e1 = {e1.tolist()}, e2 = {e2.tolist()}"
+            f"basis vector not finite or above {AMPLITUDE_MAX:.0e}: e1 = {u}, e2 = {v}"
         )
-    cross = np.array([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2])
-    return (cross, *(math.sqrt(v.dot(v)) for v in (e1, e2, cross)))
+    cross = np.array(_cross(u, v))
+    return (cross, *(math.sqrt(w.dot(w)) for w in (e1, e2, cross)))
 
 
 def degeneracy_metric(e1, e2) -> float:

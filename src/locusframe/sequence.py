@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .waveform import STRUCTURAL_SHIFTS, ScenarioSegment
+from .waveform import ScenarioSegment, total_phases
 
 #: 120-degree sequence rotator, usually written `a`
 ROTATOR = cmath.exp(2j * math.pi / 3.0)
@@ -40,14 +40,9 @@ class SequenceComponents:
 
 
 def to_phasors(segment: ScenarioSegment) -> PhasorTriple:
-    """Phasors of a segment: V_k * exp(j * (offset_k + structural shift))."""
-    amps = segment.amplitudes
-    offs = segment.phase_offsets
-    return PhasorTriple(
-        a=amps[0] * cmath.exp(1j * (offs[0] + STRUCTURAL_SHIFTS[0])),
-        b=amps[1] * cmath.exp(1j * (offs[1] + STRUCTURAL_SHIFTS[1])),
-        c=amps[2] * cmath.exp(1j * (offs[2] + STRUCTURAL_SHIFTS[2])),
-    )
+    """Phasors of a segment: V_k * exp(j * q_k) at its total phases q_k."""
+    phases = total_phases(segment).tolist()
+    return PhasorTriple(*(v * cmath.exp(1j * q) for v, q in zip(segment.amplitudes, phases)))
 
 
 def fortescue(phasors: PhasorTriple) -> SequenceComponents:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .locus import LocusBasis
+from .locus import LocusBasis, _cross
 from .waveform import TransformedSeries
 
 # not called in this module, but benchmark/tracer.py wraps these three names here
@@ -40,34 +40,14 @@ class FrameTransform:
     normalized: bool = False
 
 
-def determinant3(m) -> float:
-    """Closed-form determinant of a 3x3 matrix."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
-    return (
-        m00 * (m11 * m22 - m12 * m21)
-        - m01 * (m10 * m22 - m12 * m20)
-        + m02 * (m10 * m21 - m11 * m20)
-    )
-
-
-def adjugate3(m) -> np.ndarray:
-    """Adjugate (transposed cofactor matrix) of a 3x3 matrix."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
-    return np.array(
-        [
-            [m11 * m22 - m12 * m21, m02 * m21 - m01 * m22, m01 * m12 - m02 * m11],
-            [m12 * m20 - m10 * m22, m00 * m22 - m02 * m20, m02 * m10 - m00 * m12],
-            [m10 * m21 - m11 * m20, m01 * m20 - m00 * m21, m00 * m11 - m01 * m10],
-        ]
-    )
-
-
 def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
     """Frame transform whose inverse has columns (e1, e2, e3).
 
     With ``normalized`` the in-plane columns are rescaled to unit vectors, so
     mapped coordinates keep the amplitudes ||e1|| and ||e2|| instead of 1.
-    A LocusBasis is valid by construction, so the determinant is never zero.
+    The forward rows are the reciprocal basis (e2 x e3, e3 x e1, e1 x e2) / det,
+    with det expanded along the first row of the inverse.  A LocusBasis is
+    valid by construction, so the determinant is never zero.
     """
     e1, e2 = basis.e1, basis.e2
     if normalized:
@@ -75,8 +55,10 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
         e1 = e1 / math.sqrt(e1.dot(e1))
         e2 = e2 / math.sqrt(e2.dot(e2))
     inverse = np.column_stack([e1, e2, basis.e3])
-    det = determinant3(inverse)
-    forward = adjugate3(inverse) / det
+    e1, e2, e3 = inverse.T.tolist()
+    rows = _cross(e2, e3), _cross(e3, e1), _cross(e1, e2)
+    det = e1[0] * rows[0][0] + e2[0] * rows[1][0] + e3[0] * rows[2][0]
+    forward = np.array(rows) / det
     return FrameTransform(
         forward=forward,
         inverse=inverse,

@@ -50,13 +50,15 @@ class ScenarioSegment:
     def __post_init__(self):
         if len(self.amplitudes) != 3 or len(self.phase_offsets) != 3:
             raise ScenarioError("amplitudes and phase_offsets must each hold three values")
+        object.__setattr__(self, "start_angle", float(self.start_angle))
+        if not math.isfinite(self.start_angle):
+            raise ScenarioError(f"start angle must be finite, got {self.start_angle}")
         if min(self.amplitudes) < 0.0:
             raise ScenarioError(f"negative amplitude: {tuple(self.amplitudes)}")
         if not all(a <= AMPLITUDE_MAX for a in self.amplitudes):
             raise ScenarioError(
                 f"amplitude not finite or above {AMPLITUDE_MAX:.0e}: {tuple(self.amplitudes)}"
             )
-        object.__setattr__(self, "start_angle", float(self.start_angle))
         object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
         # stored offsets live in (-pi, pi]
         object.__setattr__(
@@ -72,8 +74,8 @@ class PhasorScenario:
     segments: tuple[ScenarioSegment, ...]
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ScenarioError(f"omega must be positive, got {self.omega}")
+        if not 0.0 < self.omega < math.inf:
+            raise ScenarioError(f"omega must be positive and finite, got {self.omega}")
         segments = tuple(self.segments)
         if not segments:
             raise ScenarioError("scenario needs at least one segment")

@@ -240,6 +240,30 @@ class TestValidate:
         _assert_rejected(code, out, err)
         assert "finite" in err
 
+    @pytest.mark.parametrize("subcommand", ["validate", "matrix", "simulate", "measure"])
+    @pytest.mark.parametrize("field", ["frequency_hz", "start_periods"])
+    def test_overflowing_frequency_or_start_rejected(self, capsys, tmp_path, subcommand, field):
+        # 1e308 is a finite JSON number, and 2 pi times it is not
+        doc = _one_segment_doc((0.7, 1.0, 0.4), (-70.0, -10.0, -90.0))
+        if field == "frequency_hz":
+            doc["frequency_hz"] = 1e308
+            message = "omega must be positive and finite, got inf"
+        else:
+            doc["segments"].append({**doc["segments"][0], "start_periods": 1e308})
+            message = "start angle must be finite, got inf"
+        path = _write_scenario(tmp_path, json.dumps(doc))
+        out_dir = tmp_path / "out"
+        argv = {
+            "validate": [],
+            "matrix": [],
+            "simulate": ["--periods", "0.05", "--rate", "64", "--out", str(out_dir)],
+            "measure": ["--out", str(out_dir)],
+        }[subcommand]
+        code, out, err = _run(capsys, [subcommand, str(path), *argv])
+        _assert_rejected(code, out, err)
+        assert message in err
+        assert not out_dir.exists()
+
 
 class TestMatrix:
     def test_golden_classical_text(self, capsys, scenario_path):
@@ -682,10 +706,20 @@ _OFFSET_BASES = (0.0, 60.0, 120.0, 180.0, -60.0, -120.0)
 
 @st.composite
 def _fuzz_cases(draw):
-    """(scenario document, measure noise sigma): amplitudes over 10^+-300, offsets
-    near multiples of 60 degrees, so near-linear loci are frequent."""
+    """(scenario document, measure noise sigma, orientation flags): amplitudes over
+    10^+-300, offsets near multiples of 60 degrees, so near-linear loci are
+    frequent, frequencies and a second segment's start over 10^-300..1.7e308,
+    where 2 pi times the value can overflow, and each orientation kind with or
+    without --normalized."""
+
+    def wide_positive():
+        return draw(st.floats(0.0, 1.7)) * 10.0 ** draw(st.integers(-300, 308))
+
     segments = []
-    for start in (0.0, 0.02)[: draw(st.integers(1, 2))]:
+    for k in range(draw(st.integers(1, 2))):
+        start = 0.0
+        if k:
+            start = 0.02 if draw(st.booleans()) else wide_positive()
         if draw(st.booleans()):  # one scale for the three phases
             scale = 10.0 ** draw(st.integers(-300, 300))
             amplitudes = [scale * draw(st.floats(0.0, 1.2)) for _ in range(3)]
@@ -702,8 +736,12 @@ def _fuzz_cases(draw):
         segments.append(
             {"start_periods": start, "amplitudes_pu": amplitudes, "phase_offsets_deg": offsets}
         )
+    frequency = 50.0 if draw(st.booleans()) else wide_positive()
     noise = draw(st.one_of(st.just(0.0), st.integers(-3, 307).map(lambda k: 10.0**k)))
-    return {"frequency_hz": 50.0, "segments": segments}, noise
+    angle = draw(st.floats(allow_nan=False, allow_infinity=False))
+    orientation = draw(st.sampled_from((PHASE_A_PEAK, MAX_NORM, f"angle:{angle!r}")))
+    flags = ["--orientation", orientation] + ["--normalized"] * draw(st.booleans())
+    return {"frequency_hz": frequency, "segments": segments}, noise, flags
 
 
 def _check_run(argv, out_dir=None):
@@ -730,11 +768,20 @@ def _check_run(argv, out_dir=None):
     return out
 
 
+_STOCK_DOC = _one_segment_doc((0.7, 1.0, 0.4), (-70.0, -10.0, -90.0))
+_STOCK_SEGMENT = _STOCK_DOC["segments"][0]
 _FUZZ_EXAMPLES = [
-    (_one_segment_doc((1e154, 1e154, 1e154), (0.0, 10.0, 0.0)), 0.0),
-    (_one_segment_doc((1e200, 1e200, 1e200), (0.0, 10.0, 0.0)), 0.0),
-    (_one_segment_doc((1.0, 1.0, 1.0), (0.0, 120.0 + 1e-7, -120.0)), 0.0),
-    (_one_segment_doc((0.7, 1.0, 0.4), (-70.0, -10.0, -90.0)), 1e300),
+    (_one_segment_doc((1e154, 1e154, 1e154), (0.0, 10.0, 0.0)), 0.0, []),
+    (_one_segment_doc((1e200, 1e200, 1e200), (0.0, 10.0, 0.0)), 0.0, []),
+    (_one_segment_doc((1.0, 1.0, 1.0), (0.0, 120.0 + 1e-7, -120.0)), 0.0, []),
+    (_STOCK_DOC, 1e300, []),
+    # 2 pi times a finite frequency or start that overflows
+    ({**_STOCK_DOC, "frequency_hz": 1e308}, 0.0, ["--orientation", MAX_NORM]),
+    (
+        {**_STOCK_DOC, "segments": [_STOCK_SEGMENT, {**_STOCK_SEGMENT, "start_periods": 1e308}]},
+        0.0,
+        ["--orientation", "angle:0.4", "--normalized"],
+    ),
 ]
 
 
@@ -744,19 +791,21 @@ _FUZZ_EXAMPLES = [
 @example(case=_FUZZ_EXAMPLES[1])
 @example(case=_FUZZ_EXAMPLES[2])
 @example(case=_FUZZ_EXAMPLES[3])
+@example(case=_FUZZ_EXAMPLES[4])
+@example(case=_FUZZ_EXAMPLES[5])
 def test_cli_fuzz_finite_or_one_error_line(case):
-    doc, noise = case
+    doc, noise, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         _check_run(["validate", str(path)])
-        out = _check_run(["matrix", str(path)])
+        out = _check_run(["matrix", str(path), *flags])
         if out:
             # each forward and inverse row: three numbers, never run together
             lines = out.splitlines()
             assert all(len(line.split()) == 3 for line in lines[4:7] + lines[8:11])
         out_dir = Path(tmp) / "simulate"
-        argv = ["simulate", str(path), "--periods", "0.05", "--rate", "64"]
+        argv = ["simulate", str(path), "--periods", "0.05", "--rate", "64", *flags]
         _check_run(argv + ["--out", str(out_dir)], out_dir)
         out_dir = Path(tmp) / "measure"
         argv = ["measure", str(path), "--noise", repr(noise), "--out", str(out_dir)]

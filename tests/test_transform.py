@@ -23,7 +23,6 @@ from locusframe import (
     pipeline_clarke_park,
     pipeline_locus,
 )
-from locusframe.transform import adjugate3, determinant3
 from locusframe.waveform import TWO_PI, sample_angles
 
 import support
@@ -31,23 +30,6 @@ import support
 
 def _scenario(segment):
     return PhasorScenario(omega=TWO_PI * 50.0, segments=(segment,))
-
-
-class TestMatrix3:
-    def test_determinant_against_numpy(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            m = rng.normal(size=(3, 3))
-            assert determinant3(m) == pytest.approx(np.linalg.det(m), abs=1e-12)
-
-    def test_adjugate_identity(self):
-        # m @ adj(m) = det(m) I
-        rng = np.random.default_rng(33)
-        for _ in range(100):
-            m = rng.normal(size=(3, 3))
-            assert m @ adjugate3(m) == pytest.approx(
-                determinant3(m) * np.eye(3), abs=1e-12
-            )
 
 
 def _indexed_determinant(m):
@@ -82,14 +64,6 @@ def _indexed_adjugate(m):
 
 class TestScalarKernels:
     """The float kernels equal element-indexed numpy formulas bit for bit."""
-
-    def test_determinant_and_adjugate(self, unbalanced_segment):
-        rng = np.random.default_rng(43)
-        stock = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK)).inverse
-        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(3000, 1, 1))
-        for m in [stock, *(rng.normal(size=(3000, 3, 3)) * scales)]:
-            assert determinant3(m) == _indexed_determinant(m)
-            assert np.array_equal(adjugate3(m), _indexed_adjugate(m))
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_assemble(self, unbalanced_segment, normalized):
@@ -128,7 +102,7 @@ class TestAssemble:
         assert frame.inverse[:, 0] == pytest.approx(basis.e1)
         assert frame.inverse[:, 1] == pytest.approx(basis.e2)
         assert frame.inverse[:, 2] == pytest.approx(basis.e3)
-        assert frame.det_inverse == pytest.approx(determinant3(frame.inverse))
+        assert frame.det_inverse == pytest.approx(np.linalg.det(frame.inverse))
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(41)

@@ -43,6 +43,11 @@ class TestScenarioSegment:
         with pytest.raises(ScenarioError):
             ScenarioSegment(0.0, (1.0, -0.1, 1.0), (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_rejected(self, start):
+        with pytest.raises(ScenarioError, match="start angle must be finite"):
+            ScenarioSegment(start, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+
     def test_offsets_stored_wrapped(self):
         segment = ScenarioSegment(0.0, (1.0, 1.0, 1.0), (3.0 * math.pi, 0.0, -math.pi))
         assert segment.phase_offsets[0] == pytest.approx(math.pi)
@@ -62,6 +67,11 @@ class TestPhasorScenario:
     def test_requires_positive_omega(self, balanced_segment):
         with pytest.raises(ScenarioError):
             PhasorScenario(omega=0.0, segments=(balanced_segment,))
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_requires_finite_omega(self, balanced_segment, omega):
+        with pytest.raises(ScenarioError, match="positive and finite"):
+            PhasorScenario(omega=omega, segments=(balanced_segment,))
 
     def test_requires_segment(self):
         with pytest.raises(ScenarioError):
