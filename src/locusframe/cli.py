@@ -19,12 +19,14 @@ import functools
 import math
 import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import locus, transform, waveform
 from .locus import MAX_NORM, PHASE_A_PEAK
 from .waveform import TWO_PI, ScenarioError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: frame tokens accepted by simulate --frames
 SIMULATE_FRAMES = ("abc", "locus123", "clarke", "dq0")
@@ -36,8 +38,10 @@ _CSV_ROW = "%.6f,%.6f,%.6f,%.6f\n"
 _FIXED_MAX = 4.5e9
 
 
-def _ascii_words(texts) -> np.ndarray:
+def _ascii_words(texts):
     """One uint32 word per text of at most 4 ASCII bytes, NUL-padded on the left."""
+    import numpy as np
+
     data = "".join(text.rjust(4, "\0") for text in texts).encode("ascii")
     return np.frombuffer(data, dtype=np.uint32)
 
@@ -45,6 +49,8 @@ def _ascii_words(texts) -> np.ndarray:
 @functools.cache
 def _csv_tables():
     """The word tables of _fixed_rows: units, high, fraction_high, fraction_low."""
+    import numpy as np
+
     digits = [f"{g:03d}" for g in range(1000)]
     # one 3-digit group of the whole part: 2000*sign + value when every higher
     # group is 0 (no padding, the sign before the first digit), 2000*sign + 1000
@@ -58,10 +64,6 @@ def _csv_tables():
     fraction_high = _ascii_words("." + text for text in digits)
     fraction_low = _ascii_words(text + end for end in ",\n" for text in digits)
     return units, high, fraction_high, fraction_low
-
-
-#: offset into fraction_low per CSV column: a comma, then the row's newline
-_COLUMN_END = np.array([0, 0, 0, 1000])
 
 _CSV_HEADERS = {
     "abc": "t,Va,Vb,Vc",
@@ -117,7 +119,6 @@ def orientation_label(orientation) -> str:
 
 def matrix_lines(matrix) -> list[str]:
     """Rows of a 3x3 matrix, each entry sign-aligned with 3 decimals after a space."""
-    matrix = np.asarray(matrix, dtype=float)
     return ["".join(f" {entry:7.3f}" for entry in row) for row in matrix]
 
 
@@ -131,6 +132,8 @@ def _fixed_rows(rows: np.ndarray) -> bytes | None:
     Returns None when the block holds a value where that proof fails: a
     non-finite value, |x| >= _FIXED_MAX, or a tie |x|*1e6 = k + 0.5.
     """
+    import numpy as np
+
     magnitude = np.abs(rows)
     if not np.all(magnitude < _FIXED_MAX):  # NaN fails the test too
         return None
@@ -149,8 +152,9 @@ def _fixed_rows(rows: np.ndarray) -> bytes | None:
         words[..., groups - 1 - k] = table[sign + above % 1000 + 1000 * (above >= 1000)]
         above = above // 1000
     high, low = np.divmod(fraction, 1000)
+    low[:, 3] += 1000  # the last column ends in the row's newline, the others in a comma
     words[..., groups] = fraction_high[high]
-    words[..., groups + 1] = fraction_low[low + _COLUMN_END]
+    words[..., groups + 1] = fraction_low[low]
     return words.tobytes().translate(None, b"\0")
 
 
@@ -161,6 +165,8 @@ def write_series_csv(path, series: waveform.TransformedSeries) -> None:
     cannot prove exact is %-formatted instead.  Both give the bytes of
     ``f"{x:.6f}"``, ``-0.000000`` included.
     """
+    import numpy as np
+
     header = _CSV_HEADERS[series.frame_kind]
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii") + b"\n")
@@ -180,7 +186,7 @@ def _segment_degeneracy(segment):
         theta = locus.theta_phase_a_peak(segment)
     except locus.UndefinedOrientationError:
         theta = 0.0
-    e1, e2 = locus.basis_vectors(segment, theta)
+    e1, e2 = locus._quarter_pair(segment, theta)
     try:
         return locus.LocusBasis(e1, e2, theta).degeneracy, False
     except locus.DegenerateLocusError:
@@ -222,15 +228,16 @@ def cmd_matrix(args) -> int:
     suffix = ", normalized" if args.normalized else ""
     print(f"segment {index + 1}, orientation {orientation_label(args.orientation)}{suffix}")
     print(f"theta_o = {frame.theta_o:.6f} rad")
+    e1, e2, _ = basis.vectors
     print(
-        f"|e1| = {np.linalg.norm(basis.e1):.6f}  |e2| = {np.linalg.norm(basis.e2):.6f}  "
+        f"|e1| = {locus._norm(e1):.6f}  |e2| = {locus._norm(e2):.6f}  "
         f"degeneracy = {basis.degeneracy:.6f}"
     )
     print("forward:")
-    for line in matrix_lines(frame.forward):
+    for line in matrix_lines(frame.rows):
         print(line)
     print("inverse:")
-    for line in matrix_lines(frame.inverse):
+    for line in matrix_lines(zip(*frame.columns)):
         print(line)
     return 0
 
@@ -272,6 +279,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    import numpy as np
+
     if not math.isfinite(args.t1_angle):
         raise ScenarioError(f"t1 angle must be finite, got {args.t1_angle}")
     if not 0.0 <= args.noise < math.inf:

@@ -15,19 +15,26 @@ independent of theta_o.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .waveform import (
     AMPLITUDE_MAX,
     ScenarioSegment,
     TransformedSeries,
-    evaluate,
+    Triple,
     total_phases,
+    values_at,
     wrap_angle,
     TWO_PI,
 )
+
+# not called in this module, but benchmark/tracer.py wraps this name here
+from .waveform import evaluate  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: orientation that samples the trajectory when phase a peaks (Clarke-compatible)
 PHASE_A_PEAK = "phase-a-peak"
@@ -83,26 +90,26 @@ class NormProfile:
     psi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocusBasis:
     """Locus-aligned basis: e1, e2 span the locus plane, e3 is the scaled normal.
 
-    e3 and ``degeneracy`` (see degeneracy_metric) are derived.  Raises
-    DegenerateLocusError unless both norms exceed DEGENERACY_ATOL and
-    g = 2||e1 x e2|| / (||e1||^2 + ||e2||^2) exceeds DEGENERACY_RTOL; g is
-    2ab/(a^2 + b^2) for the ellipse's semi-axes a, b at every orientation,
-    and cond([e1 e2 e3]) is about 2/g for a locus of unit size.
+    Built from e1, e2 (any three numbers each) and theta_o; e3 and
+    ``degeneracy`` (see degeneracy_metric) are derived.  ``vectors`` holds
+    (e1, e2, e3) as float triples, and the attributes e1, e2, e3 give them as
+    arrays.  Raises DegenerateLocusError unless both norms exceed
+    DEGENERACY_ATOL and g = 2||e1 x e2|| / (||e1||^2 + ||e2||^2) exceeds
+    DEGENERACY_RTOL; g is 2ab/(a^2 + b^2) for the ellipse's semi-axes a, b at
+    every orientation, and cond([e1 e2 e3]) is about 2/g for a locus of unit
+    size.
     """
 
-    e1: np.ndarray
-    e2: np.ndarray
+    vectors: tuple[Triple, Triple, Triple]
     theta_o: float
-    e3: np.ndarray = field(init=False)
-    degeneracy: float = field(init=False)
+    degeneracy: float
 
-    def __post_init__(self):
-        e1 = np.ascontiguousarray(self.e1, dtype=float)
-        e2 = np.ascontiguousarray(self.e2, dtype=float)
+    def __init__(self, e1, e2, theta_o: float):
+        e1, e2 = _triple(e1), _triple(e2)
         cross, n1, n2, cross_norm = _cross_and_norms(e1, e2)
         g = 2.0 * cross_norm / (n1 * n1 + n2 * n2) if min(n1, n2) > DEGENERACY_ATOL else 0.0
         if g <= DEGENERACY_RTOL:
@@ -110,43 +117,73 @@ class LocusBasis:
                 f"linear locus: g = 2|e1 x e2|/(|e1|^2 + |e2|^2) = {g:.3e} "
                 f"with |e1| = {n1:.3e}, |e2| = {n2:.3e}"
             )
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
-        object.__setattr__(self, "e3", _NORMAL_SCALE * cross / cross_norm)
+        e3 = tuple(_NORMAL_SCALE * c / cross_norm for c in cross)
+        object.__setattr__(self, "vectors", (e1, e2, e3))
+        object.__setattr__(self, "theta_o", theta_o)
         object.__setattr__(self, "degeneracy", min(1.0, cross_norm / (n1 * n2)))
+
+    @cached_property
+    def e1(self) -> np.ndarray:
+        return _array(self.vectors[0])
+
+    @cached_property
+    def e2(self) -> np.ndarray:
+        return _array(self.vectors[1])
+
+    @cached_property
+    def e3(self) -> np.ndarray:
+        return _array(self.vectors[2])
+
+
+def _triple(v) -> Triple:
+    x, y, z = v
+    return float(x), float(y), float(z)
+
+
+def _array(v):
+    import numpy as np
+
+    return np.array(v)
+
+
+def _quarter_pair(segment: ScenarioSegment, theta_o: float) -> tuple[Triple, Triple]:
+    # the segment at theta_o and a quarter period later, as float triples
+    return values_at(segment, theta_o), values_at(segment, theta_o + 0.5 * math.pi)
 
 
 def basis_vectors(segment: ScenarioSegment, theta_o: float):
     """In-plane basis: the segment evaluated at theta_o and a quarter period later."""
-    return evaluate(segment, theta_o), evaluate(segment, theta_o + 0.5 * math.pi)
+    return tuple(_array(v) for v in _quarter_pair(segment, theta_o))
 
 
-def _cross(u, v):
-    """u x v of two float triples, the terms in np.cross's order, so bit for bit."""
+def _cross(u, v) -> Triple:
+    """u x v of two float triples, the terms in np.cross's order."""
     (x1, y1, z1), (x2, y2, z2) = u, v
     return (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
 
 
-def _cross_and_norms(e1, e2):
-    """(e1 x e2, ||e1||, ||e2||, ||e1 x e2||) as floats, bit for bit as np.cross
-    and np.linalg.norm give them: each norm is sqrt(v . v) with np.dot on a
-    contiguous vector, as np.linalg.norm does.  Raises LocusError on a component
-    that is not finite or above AMPLITUDE_MAX, before any product can overflow."""
-    e1 = np.ascontiguousarray(e1, dtype=float)
-    e2 = np.ascontiguousarray(e2, dtype=float)
-    u, v = e1.tolist(), e2.tolist()
+def _norm(v) -> float:
+    """||v|| of a float triple: the square root of the plain sum of squares."""
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _cross_and_norms(u: Triple, v: Triple):
+    """(u x v, ||u||, ||v||, ||u x v||) of two float triples.  Raises LocusError
+    on a component that is not finite or above AMPLITUDE_MAX, before any
+    product can overflow."""
     if not all(abs(x) <= AMPLITUDE_MAX for x in (*u, *v)):
         raise LocusError(
-            f"basis vector not finite or above {AMPLITUDE_MAX:.0e}: e1 = {u}, e2 = {v}"
+            f"basis vector not finite or above {AMPLITUDE_MAX:.0e}: e1 = {list(u)}, e2 = {list(v)}"
         )
-    cross = np.array(_cross(u, v))
-    return (cross, *(math.sqrt(w.dot(w)) for w in (e1, e2, cross)))
+    cross = _cross(u, v)
+    return cross, _norm(u), _norm(v), _norm(cross)
 
 
 def degeneracy_metric(e1, e2) -> float:
     """||e1 x e2|| / (||e1|| ||e2||), clipped to [0, 1]; 0 when either norm is at
     most DEGENERACY_ATOL.  It is never below the g of the LocusBasis gate."""
-    _, n1, n2, cross_norm = _cross_and_norms(e1, e2)
+    _, n1, n2, cross_norm = _cross_and_norms(_triple(e1), _triple(e2))
     if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL:
         return 0.0
     return min(1.0, cross_norm / (n1 * n2))
@@ -157,6 +194,12 @@ def theta_phase_a_peak(segment: ScenarioSegment) -> float:
     if segment.amplitudes[0] == 0.0:
         raise UndefinedOrientationError("phase a has zero amplitude; its peak is undefined")
     return wrap_angle(-segment.phase_offsets[0])
+
+
+def _sum3(terms) -> float:
+    # left to right, as np.sum adds three terms; sum() compensates from Python 3.12
+    a, b, c = terms
+    return a + b + c
 
 
 def norm_profile(segment: ScenarioSegment) -> NormProfile:
@@ -171,11 +214,11 @@ def norm_profile(segment: ScenarioSegment) -> NormProfile:
     N = sum V_k^2 cos(2 q_k), D = sum V_k^2 sin(2 q_k).  A is always >= 0;
     psi is 0 by convention when N = D = 0 (circular locus).
     """
-    squares = np.asarray(segment.amplitudes) ** 2
-    doubled = 2.0 * total_phases(segment)
-    n_coef = float(np.sum(squares * np.cos(doubled)))
-    d_coef = float(np.sum(squares * np.sin(doubled)))
-    c_level = float(np.sum(squares)) / 2.0
+    squares = [v * v for v in segment.amplitudes]
+    doubled = [2.0 * q for q in total_phases(segment)]
+    n_coef = _sum3(w * math.cos(q) for w, q in zip(squares, doubled))
+    d_coef = _sum3(w * math.sin(q) for w, q in zip(squares, doubled))
+    c_level = _sum3(squares) / 2.0
     a_amplitude = 0.5 * math.hypot(n_coef, d_coef)
     psi = math.atan2(-n_coef, d_coef) if a_amplitude > 0.0 else 0.0
     return NormProfile(c_level=c_level, a_amplitude=a_amplitude, psi=psi)
@@ -224,8 +267,7 @@ def basis_from_vectors(e1, e2, theta_o: float) -> LocusBasis:
 def build_basis(segment: ScenarioSegment, orientation=PHASE_A_PEAK) -> LocusBasis:
     """Resolve the orientation, then build the full locus basis for a segment."""
     theta_o = resolve_orientation(segment, orientation)
-    e1, e2 = basis_vectors(segment, theta_o)
-    return basis_from_vectors(e1, e2, theta_o)
+    return basis_from_vectors(*_quarter_pair(segment, theta_o), theta_o)
 
 
 def basis_from_stream(series: TransformedSeries, t1_angle: float):
@@ -237,6 +279,8 @@ def basis_from_stream(series: TransformedSeries, t1_angle: float):
     (InsufficientSpanError) and carry at least MIN_STREAM_RATE samples per
     period (InsufficientRateError).
     """
+    import numpy as np
+
     t2_angle = t1_angle + 0.5 * math.pi
     if len(series) < 2:
         raise InsufficientSpanError("series holds fewer than two samples")

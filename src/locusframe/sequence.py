@@ -41,7 +41,7 @@ class SequenceComponents:
 
 def to_phasors(segment: ScenarioSegment) -> PhasorTriple:
     """Phasors of a segment: V_k * exp(j * q_k) at its total phases q_k."""
-    phases = total_phases(segment).tolist()
+    phases = total_phases(segment)
     return PhasorTriple(*(v * cmath.exp(1j * q) for v, q in zip(segment.amplitudes, phases)))
 
 

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .locus import LocusBasis, _cross
-from .waveform import TransformedSeries
+from .locus import LocusBasis, _cross, _norm
+from .waveform import TransformedSeries, Triple
 
 # not called in this module, but benchmark/tracer.py wraps these three names here
 from .locus import build_basis  # noqa: F401
 from .waveform import evaluate_scenario, sample_series as abc_series  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -28,16 +31,30 @@ _SQRT3 = math.sqrt(3.0)
 class FrameTransform:
     """A 3x3 forward map (abc -> frame) with its closed-form inverse.
 
-    The columns of ``inverse`` are the basis vectors that generate the frame;
-    ``det_inverse`` is the determinant of that matrix.  ``normalized`` marks
-    a frame whose in-plane basis vectors were rescaled to unit norm.
+    ``rows`` are the forward matrix's rows and ``columns`` the inverse's
+    columns, the basis vectors that generate the frame, as float triples;
+    ``forward`` and ``inverse`` give the two matrices as arrays.
+    ``det_inverse`` is the determinant of the inverse.  ``normalized`` marks a
+    frame whose in-plane basis vectors were rescaled to unit norm.
     """
 
-    forward: np.ndarray
-    inverse: np.ndarray
+    rows: tuple[Triple, Triple, Triple]
+    columns: tuple[Triple, Triple, Triple]
     theta_o: float
     det_inverse: float
     normalized: bool = False
+
+    @cached_property
+    def forward(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.rows)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        import numpy as np
+
+        return np.column_stack(self.columns)
 
 
 def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
@@ -49,19 +66,16 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
     with det expanded along the first row of the inverse.  A LocusBasis is
     valid by construction, so the determinant is never zero.
     """
-    e1, e2 = basis.e1, basis.e2
+    e1, e2, e3 = basis.vectors
     if normalized:
-        # sqrt(v . v) on a contiguous vector, as np.linalg.norm computes it
-        e1 = e1 / math.sqrt(e1.dot(e1))
-        e2 = e2 / math.sqrt(e2.dot(e2))
-    inverse = np.column_stack([e1, e2, basis.e3])
-    e1, e2, e3 = inverse.T.tolist()
+        n1, n2 = _norm(e1), _norm(e2)
+        e1 = tuple(x / n1 for x in e1)
+        e2 = tuple(x / n2 for x in e2)
     rows = _cross(e2, e3), _cross(e3, e1), _cross(e1, e2)
     det = e1[0] * rows[0][0] + e2[0] * rows[1][0] + e3[0] * rows[2][0]
-    forward = np.array(rows) / det
     return FrameTransform(
-        forward=forward,
-        inverse=inverse,
+        rows=tuple(tuple(x / det for x in row) for row in rows),
+        columns=(e1, e2, e3),
         theta_o=basis.theta_o,
         det_inverse=det,
         normalized=normalized,
@@ -70,11 +84,15 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
 
 def apply(transform: FrameTransform, triple) -> np.ndarray:
     """Map an abc triple (or a (3, n) block of triples) into frame coordinates."""
+    import numpy as np
+
     return transform.forward @ np.asarray(triple, dtype=float)
 
 
 def clarke_matrix() -> np.ndarray:
     """Amplitude-invariant Clarke forward matrix (abc -> alpha, beta, 0)."""
+    import numpy as np
+
     return np.array(
         [
             [2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0],
@@ -90,6 +108,8 @@ def park_rotate(angle, pair):
     d = cos(angle) x + sin(angle) y,  q = -sin(angle) x + cos(angle) y.
     ``angle`` and the pair components may be scalars or arrays.
     """
+    import numpy as np
+
     x, y = pair
     c = np.cos(angle)
     s = np.sin(angle)
@@ -102,6 +122,8 @@ def _map_then_rotate(frame_kind, forward, abc: TransformedSeries):
     The synchronous rotation angle equals the grid angle, i.e. it is null at
     the series start; the third channel passes through unchanged.
     """
+    import numpy as np
+
     coords = forward @ abc.coords
     d, q = park_rotate(abc.angles, (coords[0], coords[1]))
     return (

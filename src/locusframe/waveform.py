@@ -13,10 +13,15 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+#: three per-phase floats: a vector in abc space or one value per phase
+Triple = tuple[float, float, float]
 
 #: Structural phase displacements of phases a, b, c.
 STRUCTURAL_SHIFTS = (0.0, -TWO_PI / 3.0, TWO_PI / 3.0)
@@ -60,6 +65,8 @@ class ScenarioSegment:
                 f"amplitude not finite or above {AMPLITUDE_MAX:.0e}: {tuple(self.amplitudes)}"
             )
         object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
+        if not all(math.isfinite(p) for p in self.phase_offsets):
+            raise ScenarioError(f"phase offset not finite: {tuple(self.phase_offsets)}")
         # stored offsets live in (-pi, pi]
         object.__setattr__(
             self, "phase_offsets", tuple(wrap_angle(float(p)) for p in self.phase_offsets)
@@ -109,6 +116,8 @@ class TransformedSeries:
     coords: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         if self.frame_kind not in FRAME_KINDS:
             raise ValueError(f"unknown frame kind {self.frame_kind!r}")
         angles = np.asarray(self.angles, dtype=float)
@@ -124,23 +133,33 @@ class TransformedSeries:
         return self.angles.size
 
 
-def total_phases(segment: ScenarioSegment) -> np.ndarray:
+def total_phases(segment: ScenarioSegment) -> Triple:
     """Per-phase offsets with the structural shifts folded in."""
-    return np.asarray(segment.phase_offsets) + np.asarray(STRUCTURAL_SHIFTS)
+    return tuple(p + s for p, s in zip(segment.phase_offsets, STRUCTURAL_SHIFTS))
 
 
-def evaluate(segment: ScenarioSegment, angle):
+def values_at(segment: ScenarioSegment, angle: float) -> Triple:
+    """(v_a, v_b, v_c) of a segment at one electrical angle, as floats.
+
+    v_k = V_k cos(angle + phi_k + s_k) with s = (0, -2pi/3, +2pi/3).
+    """
+    return tuple(v * math.cos(angle + q) for v, q in zip(segment.amplitudes, total_phases(segment)))
+
+
+def evaluate(segment: ScenarioSegment, angle) -> np.ndarray:
     """Instantaneous (v_a, v_b, v_c) of a segment at electrical angle ``angle``.
 
-    v_k = V_k cos(angle + phi_k + s_k) with s = (0, -2pi/3, +2pi/3).  ``angle``
-    may be a scalar or a 1-D array; for arrays the phase axis comes first and
-    the result has shape (3, n).
+    ``angle`` may be a scalar, giving :func:`values_at` as an array, or a 1-D
+    array; for arrays the phase axis comes first and the result has shape
+    (3, n).
     """
-    amps = np.asarray(segment.amplitudes)
-    phases = total_phases(segment)
+    import numpy as np
+
     theta = np.asarray(angle, dtype=float)
     if theta.ndim == 0:
-        return amps * np.cos(theta + phases)
+        return np.array(values_at(segment, float(theta)))
+    amps = np.asarray(segment.amplitudes)
+    phases = np.asarray(total_phases(segment))
     return amps[:, np.newaxis] * np.cos(theta[np.newaxis, :] + phases[:, np.newaxis])
 
 
@@ -163,6 +182,8 @@ def evaluate_scenario(scenario: PhasorScenario, angles) -> np.ndarray:
     :func:`evaluate` on each sample's active segment.  Negative angles raise
     ScenarioError, as in :func:`segment_at`.
     """
+    import numpy as np
+
     angles = np.asarray(angles, dtype=float)
     if angles.size and angles.min() < 0.0:
         raise ScenarioError(f"angles must be >= 0, got {angles.min()}")
@@ -185,6 +206,8 @@ def sample_angles(samples_per_period: int, periods: float) -> np.ndarray:
     Raises ScenarioError for fewer than 4 samples per period, a span that is
     not positive and finite, or a grid too large for numpy to allocate.
     """
+    import numpy as np
+
     if samples_per_period < 4:
         raise ScenarioError(
             f"samples_per_period must be at least 4, got {samples_per_period}"

@@ -97,6 +97,11 @@ SEQUENCE_NEGATIVE = -0.14967206817049197 + 0.16063592874525756j
 UNBALANCE_RATIOS = (0.37932890001936526, 0.7055642480571295)
 
 
+def explicit_norm(v) -> float:
+    """||v|| of a 3-vector as the library computes it: sqrt of the plain sum of squares."""
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
 def unbalanced_segment(start_angle=0.0) -> ScenarioSegment:
     return ScenarioSegment(start_angle, UNBALANCED_AMPS, UNBALANCED_OFFSETS)
 

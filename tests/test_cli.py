@@ -35,6 +35,7 @@ from locusframe.locus import DEGENERACY_RTOL
 from locusframe.waveform import AMPLITUDE_MAX
 from locusframe.cli import (
     _CSV_BLOCK_ROWS,
+    _CSV_HEADERS,
     main,
     matrix_lines,
     orientation_label,
@@ -812,26 +813,93 @@ def test_cli_fuzz_finite_or_one_error_line(case):
         _check_run(argv, out_dir)
 
 
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
 def test_csv_tables_built_on_first_write(scenario_path, tmp_path):
-    # importing the CLI and running validate and matrix build no CSV word tables
+    # importing the CLI and running validate and matrix import no numpy and
+    # build no CSV word tables; a simulate after them still writes exact CSVs
     script = (
         "import sys\n"
         "from locusframe import cli\n"
         "cli.main(['validate', sys.argv[1]])\n"
         "cli.main(['matrix', sys.argv[1]])\n"
         "built = cli._csv_tables.cache_info().currsize\n"
+        "numpy = 'numpy' in sys.modules\n"
         "cli.main(['simulate', sys.argv[1], '--periods', '1', '--out', sys.argv[2]])\n"
-        "print(built, cli._csv_tables.cache_info().currsize)\n"
+        "print(built, numpy, cli._csv_tables.cache_info().currsize)\n"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     done = subprocess.run(
         [sys.executable, "-c", script, str(scenario_path), str(tmp_path)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": _SRC},
         check=True,
     )
-    assert done.stdout.splitlines()[-1] == "0 1"
+    assert done.stdout.splitlines()[-1] == "0 False 1"
+    scenario = load_scenario(scenario_path)
+    abc = abc_series(scenario, 1000, 1.0)
+    frame = assemble(build_basis(scenario.segments[-1], PHASE_A_PEAK))
+    series123, dq0 = pipeline_locus(abc, frame)
+    for name, series in [
+        ("V_abc.csv", abc),
+        ("V_123_classical.csv", series123),
+        ("V_dq0_classical.csv", dq0),
+    ]:
+        assert (tmp_path / name).read_bytes() == _percent_csv(
+            _CSV_HEADERS[series.frame_kind], series.angles, series.coords
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["matrix"],
+        *(
+            ["matrix", "--orientation", orientation, "--normalized", "--segment", "2"]
+            for orientation in ("phase-a-peak", "max-norm", "angle:0.4")
+        ),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_validate_and_matrix_import_no_numpy(scenario_path, argv):
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "locusframe.cli",
+         argv[0], str(scenario_path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        check=True,
+    )
+    # "import time: <self> | <cumulative> | <indented module name>"
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "locusframe.transform" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+def _golden_runs():
+    """(argv, stdout) of each "$ <argv>" block of tests/golden_stdout.txt."""
+    text = (Path(__file__).parent / "golden_stdout.txt").read_text(encoding="utf-8")
+    runs = []
+    for block in text.split("$ ")[1:]:
+        command, stdout = block.split("\n", 1)
+        runs.append((command.split(), stdout))
+    return runs
+
+
+_GOLDEN_RUNS = _golden_runs()
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", _GOLDEN_RUNS, ids=[" ".join([a[0], *a[2:]]) for a, _ in _GOLDEN_RUNS]
+)
+def test_golden_stdout(capsys, scenario_path, argv, stdout):
+    # recorded text of validate and every matrix run on the stock scenario;
+    # it pins the sign of printed zeros
+    assert argv[1] == "scenarios/unbalance_step.json"
+    code, out, err = _run(capsys, [argv[0], str(scenario_path), *argv[2:]])
+    assert (code, out, err) == (0, stdout, "")
 
 
 def test_write_series_csv_matches_per_row_format(tmp_path):

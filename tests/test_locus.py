@@ -149,7 +149,8 @@ class TestNormalVector:
 
 def _pairs_with_numpy_formulas():
     """Seeded random pairs (contiguous and strided) plus the stock segment's, each
-    with e3 and the degeneracy as np.cross and np.linalg.norm give them."""
+    with e3 and the degeneracy from np.cross and the explicit norm
+    sqrt(x*x + y*y + z*z), the square root of the plain sum of squares."""
     rng = np.random.default_rng(61)
     stock = support.unbalanced_segment()
     pairs = [basis_vectors(stock, theta) for theta in rng.uniform(-math.pi, math.pi, 50)]
@@ -158,7 +159,7 @@ def _pairs_with_numpy_formulas():
     pairs += [(m[:, 0], m[:, 1]) for m in rng.normal(size=(200, 3, 2))]
     for e1, e2 in pairs:
         cross = np.cross(e1, e2)
-        n1, n2, cross_norm = np.linalg.norm(e1), np.linalg.norm(e2), np.linalg.norm(cross)
+        n1, n2, cross_norm = (support.explicit_norm(v) for v in (e1, e2, cross))
         yield e1, e2, math.sqrt(3.0) * cross / cross_norm, min(1.0, float(cross_norm / (n1 * n2)))
 
 

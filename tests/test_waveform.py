@@ -48,6 +48,12 @@ class TestScenarioSegment:
         with pytest.raises(ScenarioError, match="start angle must be finite"):
             ScenarioSegment(start, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+    def test_non_finite_offset_rejected(self, offset):
+        # wrapped, it would be stored as NaN and surface as a basis-vector error
+        with pytest.raises(ScenarioError, match="phase offset not finite"):
+            ScenarioSegment(0.0, (1.0, 1.0, 1.0), (0.0, offset, 0.0))
+
     def test_offsets_stored_wrapped(self):
         segment = ScenarioSegment(0.0, (1.0, 1.0, 1.0), (3.0 * math.pi, 0.0, -math.pi))
         assert segment.phase_offsets[0] == pytest.approx(math.pi)
