@@ -186,7 +186,7 @@ def _segment_degeneracy(segment):
         theta = locus.theta_phase_a_peak(segment)
     except locus.UndefinedOrientationError:
         theta = 0.0
-    e1, e2 = locus._quarter_pair(segment, theta)
+    e1, e2 = locus.basis_vectors(segment, theta)
     try:
         return locus.LocusBasis(e1, e2, theta).degeneracy, False
     except locus.DegenerateLocusError:
@@ -222,7 +222,7 @@ def cmd_validate(args) -> int:
 
 def cmd_matrix(args) -> int:
     scenario = waveform.load_scenario(args.scenario)
-    index = _pick_segment(scenario, args.segment if args.segment is not None else 1)
+    index = _pick_segment(scenario, args.segment)
     basis = locus.build_basis(scenario.segments[index], args.orientation)
     frame = transform.assemble(basis, normalized=args.normalized)
     suffix = ", normalized" if args.normalized else ""
@@ -298,9 +298,11 @@ def cmd_measure(args) -> int:
     e1, e2 = locus.basis_from_stream(series, args.t1_angle)
     measured = transform.assemble(locus.basis_from_vectors(e1, e2, args.t1_angle))
 
-    probes = np.array([args.t1_angle, args.t1_angle + 0.5 * math.pi])
-    exact = waveform.evaluate_scenario(scenario, probes)
-    analytic = transform.assemble(locus.basis_from_vectors(*exact.T, args.t1_angle))
+    exact = [
+        waveform.values_at(waveform.segment_at(scenario, t), t)
+        for t in (args.t1_angle, args.t1_angle + 0.5 * math.pi)
+    ]
+    analytic = transform.assemble(locus.basis_from_vectors(*exact, args.t1_angle))
     deviation = float(np.max(np.abs(measured.forward - analytic.forward)))
 
     # only now: a rejected measurement leaves no directory
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="phase-a-peak, max-norm, or angle:<radians> (default phase-a-peak)",
     )
     p_matrix.add_argument(
-        "--segment", type=int, default=None, help="1-based segment index (default 1)"
+        "--segment", type=int, default=1, help="1-based segment index (default 1)"
     )
     p_matrix.add_argument(
         "--normalized",

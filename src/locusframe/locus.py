@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .waveform import (
     AMPLITUDE_MAX,
@@ -32,9 +30,6 @@ from .waveform import (
 
 # not called in this module, but benchmark/tracer.py wraps this name here
 from .waveform import evaluate  # noqa: F401
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: orientation that samples the trajectory when phase a peaks (Clarke-compatible)
 PHASE_A_PEAK = "phase-a-peak"
@@ -96,12 +91,11 @@ class LocusBasis:
 
     Built from e1, e2 (any three numbers each) and theta_o; e3 and
     ``degeneracy`` (see degeneracy_metric) are derived.  ``vectors`` holds
-    (e1, e2, e3) as float triples, and the attributes e1, e2, e3 give them as
-    arrays.  Raises DegenerateLocusError unless both norms exceed
-    DEGENERACY_ATOL and g = 2||e1 x e2|| / (||e1||^2 + ||e2||^2) exceeds
-    DEGENERACY_RTOL; g is 2ab/(a^2 + b^2) for the ellipse's semi-axes a, b at
-    every orientation, and cond([e1 e2 e3]) is about 2/g for a locus of unit
-    size.
+    (e1, e2, e3) as float triples.  Raises DegenerateLocusError unless both
+    norms exceed DEGENERACY_ATOL and g = 2||e1 x e2|| / (||e1||^2 + ||e2||^2)
+    exceeds DEGENERACY_RTOL; g is 2ab/(a^2 + b^2) for the ellipse's semi-axes
+    a, b at every orientation, and cond([e1 e2 e3]) is about 2/g for a locus of
+    unit size.
     """
 
     vectors: tuple[Triple, Triple, Triple]
@@ -122,38 +116,16 @@ class LocusBasis:
         object.__setattr__(self, "theta_o", theta_o)
         object.__setattr__(self, "degeneracy", min(1.0, cross_norm / (n1 * n2)))
 
-    @cached_property
-    def e1(self) -> np.ndarray:
-        return _array(self.vectors[0])
-
-    @cached_property
-    def e2(self) -> np.ndarray:
-        return _array(self.vectors[1])
-
-    @cached_property
-    def e3(self) -> np.ndarray:
-        return _array(self.vectors[2])
-
 
 def _triple(v) -> Triple:
     x, y, z = v
     return float(x), float(y), float(z)
 
 
-def _array(v):
-    import numpy as np
-
-    return np.array(v)
-
-
-def _quarter_pair(segment: ScenarioSegment, theta_o: float) -> tuple[Triple, Triple]:
-    # the segment at theta_o and a quarter period later, as float triples
+def basis_vectors(segment: ScenarioSegment, theta_o: float) -> tuple[Triple, Triple]:
+    """In-plane basis: the segment evaluated at theta_o and a quarter period
+    later, as float triples."""
     return values_at(segment, theta_o), values_at(segment, theta_o + 0.5 * math.pi)
-
-
-def basis_vectors(segment: ScenarioSegment, theta_o: float):
-    """In-plane basis: the segment evaluated at theta_o and a quarter period later."""
-    return tuple(_array(v) for v in _quarter_pair(segment, theta_o))
 
 
 def _cross(u, v) -> Triple:
@@ -267,17 +239,17 @@ def basis_from_vectors(e1, e2, theta_o: float) -> LocusBasis:
 def build_basis(segment: ScenarioSegment, orientation=PHASE_A_PEAK) -> LocusBasis:
     """Resolve the orientation, then build the full locus basis for a segment."""
     theta_o = resolve_orientation(segment, orientation)
-    return basis_from_vectors(*_quarter_pair(segment, theta_o), theta_o)
+    return basis_from_vectors(*basis_vectors(segment, theta_o), theta_o)
 
 
-def basis_from_stream(series: TransformedSeries, t1_angle: float):
+def basis_from_stream(series: TransformedSeries, t1_angle: float) -> tuple[Triple, Triple]:
     """Estimate the in-plane basis from a uniformly sampled abc series.
 
-    Linearly interpolates the series at t1_angle and t1_angle + pi/2; the
-    implied orientation angle is t1_angle.  The series must be uniformly
-    sampled (MeasurementError), cover [t1_angle, t1_angle + pi/2]
-    (InsufficientSpanError) and carry at least MIN_STREAM_RATE samples per
-    period (InsufficientRateError).
+    Linearly interpolates the series at t1_angle and t1_angle + pi/2, giving
+    two float triples; the implied orientation angle is t1_angle.  The series
+    must be uniformly sampled (MeasurementError), cover [t1_angle,
+    t1_angle + pi/2] (InsufficientSpanError) and carry at least
+    MIN_STREAM_RATE samples per period (InsufficientRateError).
     """
     import numpy as np
 
@@ -298,6 +270,7 @@ def basis_from_stream(series: TransformedSeries, t1_angle: float):
             f"series spans [{angles[0]:.6f}, {angles[-1]:.6f}] rad, "
             f"estimation needs [{t1_angle:.6f}, {t2_angle:.6f}]"
         )
-    e1 = np.array([np.interp(t1_angle, angles, channel) for channel in series.coords])
-    e2 = np.array([np.interp(t2_angle, angles, channel) for channel in series.coords])
-    return e1, e2
+    return tuple(
+        tuple(float(np.interp(angle, angles, channel)) for channel in series.coords)
+        for angle in (t1_angle, t2_angle)
+    )

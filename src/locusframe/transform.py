@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .locus import LocusBasis, _cross, _norm
@@ -33,7 +32,8 @@ class FrameTransform:
 
     ``rows`` are the forward matrix's rows and ``columns`` the inverse's
     columns, the basis vectors that generate the frame, as float triples;
-    ``forward`` and ``inverse`` give the two matrices as arrays.
+    ``forward`` and ``inverse`` build the two matrices as new arrays on each
+    read, so writing into one leaves the frame as it was.
     ``det_inverse`` is the determinant of the inverse.  ``normalized`` marks a
     frame whose in-plane basis vectors were rescaled to unit norm.
     """
@@ -44,13 +44,13 @@ class FrameTransform:
     det_inverse: float
     normalized: bool = False
 
-    @cached_property
+    @property
     def forward(self) -> np.ndarray:
         import numpy as np
 
         return np.array(self.rows)
 
-    @cached_property
+    @property
     def inverse(self) -> np.ndarray:
         import numpy as np
 

@@ -97,6 +97,11 @@ SEQUENCE_NEGATIVE = -0.14967206817049197 + 0.16063592874525756j
 UNBALANCE_RATIOS = (0.37932890001936526, 0.7055642480571295)
 
 
+def is_float_triple(v) -> bool:
+    """Whether v is a tuple of three Python floats, the library's one form of a 3-vector."""
+    return type(v) is tuple and len(v) == 3 and all(type(x) is float for x in v)
+
+
 def explicit_norm(v) -> float:
     """||v|| of a 3-vector as the library computes it: sqrt of the plain sum of squares."""
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])

@@ -565,6 +565,30 @@ class TestMeasure:
         _, second, _ = _run(capsys, argv)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            pytest.param([], "max forward deviation: 0.000000e+00", id="default"),
+            pytest.param(
+                ["--noise", "0.01", "--seed", "3", "--t1-angle", "0.3"],
+                "max forward deviation: 7.580231e-03",
+                id="noisy",
+            ),
+            # the probe pair straddles the segment switch at 2 pi
+            pytest.param(
+                ["--periods", "2", "--t1-angle", "5.5"],
+                "max forward deviation: 6.774383e-06",
+                id="across the switch",
+            ),
+        ],
+    )
+    def test_deviation_line_pinned(self, capsys, scenario_path, tmp_path, flags, line):
+        # byte-exact lines: the analytic probes must give the printed deviation unchanged
+        argv = ["measure", str(scenario_path), *flags, "--out", str(tmp_path)]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[-1] == line
+
     def test_noise_worsens_estimate(self, capsys, scenario_path, tmp_path):
         clean_argv = ["measure", str(scenario_path), "--t1-angle", "0.3", "--out", str(tmp_path)]
         _, clean_out, _ = _run(capsys, clean_argv)
@@ -852,26 +876,34 @@ def test_csv_tables_built_on_first_write(scenario_path, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "scenario, argv",
     [
-        ["validate"],
-        ["matrix"],
         *(
-            ["matrix", "--orientation", orientation, "--normalized", "--segment", "2"]
-            for orientation in ("phase-a-peak", "max-norm", "angle:0.4")
+            pytest.param("scenario_path", argv, id=" ".join(argv))
+            for argv in [
+                ["validate"],
+                ["matrix"],
+                *(
+                    ["matrix", "--orientation", orientation, "--normalized", "--segment", "2"]
+                    for orientation in ("phase-a-peak", "max-norm", "angle:0.4")
+                ),
+            ]
         ),
+        # the [degenerate] branch, where the basis gate rejects the segment
+        pytest.param("degenerate_scenario_path", ["validate"], id="validate degenerate"),
     ],
-    ids=lambda argv: " ".join(argv),
 )
-def test_validate_and_matrix_import_no_numpy(scenario_path, argv):
+def test_validate_and_matrix_import_no_numpy(request, scenario, argv):
+    path = request.getfixturevalue(scenario)
     done = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "locusframe.cli",
-         argv[0], str(scenario_path), *argv[1:]],
+         argv[0], str(path), *argv[1:]],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": _SRC},
         check=True,
     )
+    assert ("[degenerate]" in done.stdout) == (scenario == "degenerate_scenario_path")
     # "import time: <self> | <cumulative> | <indented module name>"
     imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
     assert "locusframe.transform" in imported

@@ -37,6 +37,7 @@ import support
 
 def test_basis_vectors_match_reference(unbalanced_segment):
     e1, e2 = basis_vectors(unbalanced_segment, support.THETA_CLASSICAL)
+    assert support.is_float_triple(e1) and support.is_float_triple(e2)
     assert e1 == pytest.approx(support.E1_CLASSICAL, abs=1e-12)
     assert e2 == pytest.approx(support.E2_CLASSICAL, abs=1e-12)
 
@@ -53,7 +54,7 @@ def test_locus_identity_reconstructs_signal(unbalanced_segment):
     # v(theta) = cos(theta - theta_o) e1 + sin(theta - theta_o) e2
     rng = np.random.default_rng(3)
     for theta_o in rng.uniform(-math.pi, math.pi, size=20):
-        e1, e2 = basis_vectors(unbalanced_segment, theta_o)
+        e1, e2 = map(np.array, basis_vectors(unbalanced_segment, theta_o))
         for theta in rng.uniform(0.0, TWO_PI, size=10):
             rebuilt = math.cos(theta - theta_o) * e1 + math.sin(theta - theta_o) * e2
             assert rebuilt == pytest.approx(
@@ -117,20 +118,21 @@ class TestNormalVector:
 
     def test_reference_value(self, unbalanced_segment):
         e1, e2 = basis_vectors(unbalanced_segment, support.THETA_CLASSICAL)
-        assert basis_from_vectors(e1, e2, 0.0).e3 == pytest.approx(support.E3, abs=1e-12)
+        assert basis_from_vectors(e1, e2, 0.0).vectors[2] == pytest.approx(support.E3, abs=1e-12)
 
     def test_norm_and_orthogonality(self, unbalanced_segment):
         e1, e2 = basis_vectors(unbalanced_segment, 0.81)
-        e3 = basis_from_vectors(e1, e2, 0.0).e3
+        e3 = basis_from_vectors(e1, e2, 0.0).vectors[2]
         assert np.linalg.norm(e3) == pytest.approx(math.sqrt(3.0))
         assert abs(np.dot(e3, e1)) < 1e-12
         assert abs(np.dot(e3, e2)) < 1e-12
 
     def test_independent_of_orientation(self, unbalanced_segment):
         rng = np.random.default_rng(9)
-        reference = basis_from_vectors(*basis_vectors(unbalanced_segment, 0.0), 0.0).e3
+        _, _, reference = basis_from_vectors(*basis_vectors(unbalanced_segment, 0.0), 0.0).vectors
         for theta_o in rng.uniform(-math.pi, math.pi, size=50):
-            e3 = basis_from_vectors(*basis_vectors(unbalanced_segment, theta_o), theta_o).e3
+            pair = basis_vectors(unbalanced_segment, theta_o)
+            _, _, e3 = basis_from_vectors(*pair, theta_o).vectors
             assert e3 == pytest.approx(reference, abs=1e-12)
 
     def test_collinear_raises(self):
@@ -166,7 +168,7 @@ def _pairs_with_numpy_formulas():
 def test_scalar_kernels_bit_identical_to_numpy_formulas():
     for e1, e2, e3, degeneracy in _pairs_with_numpy_formulas():
         basis = basis_from_vectors(e1, e2, 0.0)
-        assert np.array_equal(basis.e3, e3)
+        assert np.array_equal(basis.vectors[2], e3)
         assert basis.degeneracy == degeneracy
         assert degeneracy_metric(e1, e2) == degeneracy
 
@@ -280,9 +282,11 @@ class TestResolveOrientation:
 def test_build_basis_metadata(unbalanced_segment):
     basis = build_basis(unbalanced_segment, PHASE_A_PEAK)
     assert basis.theta_o == pytest.approx(support.THETA_CLASSICAL)
-    assert basis.e1 == pytest.approx(support.E1_CLASSICAL, abs=1e-12)
-    assert basis.e2 == pytest.approx(support.E2_CLASSICAL, abs=1e-12)
-    assert basis.e3 == pytest.approx(support.E3, abs=1e-12)
+    e1, e2, e3 = basis.vectors
+    assert all(support.is_float_triple(v) for v in basis.vectors)
+    assert e1 == pytest.approx(support.E1_CLASSICAL, abs=1e-12)
+    assert e2 == pytest.approx(support.E2_CLASSICAL, abs=1e-12)
+    assert e3 == pytest.approx(support.E3, abs=1e-12)
     assert 0.0 < basis.degeneracy <= 1.0
 
 
@@ -306,6 +310,7 @@ class TestBasisFromStream:
         series = sample_series(self._scenario(unbalanced_segment), 1000, 1.0)
         t1 = 0.3
         e1, e2 = basis_from_stream(series, t1)
+        assert support.is_float_triple(e1) and support.is_float_triple(e2)
         expected1, expected2 = basis_vectors(unbalanced_segment, t1)
         assert e1 == pytest.approx(expected1, abs=1e-4)
         assert e2 == pytest.approx(expected2, abs=1e-4)
@@ -347,7 +352,7 @@ def test_basis_from_vectors_round_trip(unbalanced_segment):
     basis = basis_from_vectors(e1, e2, 0.7)
     assert basis.theta_o == 0.7
     cross = np.cross(e1, e2)
-    assert basis.e3 == pytest.approx(math.sqrt(3.0) * cross / np.linalg.norm(cross))
+    assert basis.vectors[2] == pytest.approx(math.sqrt(3.0) * cross / np.linalg.norm(cross))
 
 
 def test_wrap_angle_reexported():

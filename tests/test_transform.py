@@ -74,15 +74,19 @@ class TestScalarKernels:
                 segment = support.random_nondegenerate_segment(rng, orientation)
                 bases.append(build_basis(segment, orientation))
         for basis in bases:
-            e1, e2 = basis.e1, basis.e2
+            e1, e2, e3 = map(np.array, basis.vectors)
             if normalized:
                 e1, e2 = e1 / support.explicit_norm(e1), e2 / support.explicit_norm(e2)
-            inverse = np.column_stack([e1, e2, basis.e3])
+            inverse = np.column_stack([e1, e2, e3])
             det = _indexed_determinant(inverse)
             frame = assemble(basis, normalized=normalized)
             assert np.array_equal(frame.inverse, inverse)
             assert frame.det_inverse == det
             assert np.array_equal(frame.forward, _indexed_adjugate(inverse) / det)
+            # one form: the arrays are built from the float triples, bit for bit
+            assert all(support.is_float_triple(v) for v in frame.rows + frame.columns)
+            assert np.array_equal(frame.forward, np.array(frame.rows))
+            assert np.array_equal(frame.inverse, np.column_stack(frame.columns))
 
 
 class TestAssemble:
@@ -99,9 +103,10 @@ class TestAssemble:
     def test_inverse_columns_are_basis(self, unbalanced_segment):
         basis = build_basis(unbalanced_segment, PHASE_A_PEAK)
         frame = assemble(basis)
-        assert frame.inverse[:, 0] == pytest.approx(basis.e1)
-        assert frame.inverse[:, 1] == pytest.approx(basis.e2)
-        assert frame.inverse[:, 2] == pytest.approx(basis.e3)
+        e1, e2, e3 = basis.vectors
+        assert frame.inverse[:, 0] == pytest.approx(e1)
+        assert frame.inverse[:, 1] == pytest.approx(e2)
+        assert frame.inverse[:, 2] == pytest.approx(e3)
         assert frame.det_inverse == pytest.approx(np.linalg.det(frame.inverse))
 
     def test_round_trip_random(self):
@@ -117,7 +122,7 @@ class TestAssemble:
     def test_third_row_is_scaled_normal(self, unbalanced_segment):
         basis = build_basis(unbalanced_segment, PHASE_A_PEAK)
         frame = assemble(basis)
-        assert frame.forward[2] == pytest.approx(basis.e3 / 3.0, abs=1e-12)
+        assert frame.forward[2] == pytest.approx(np.array(basis.vectors[2]) / 3.0, abs=1e-12)
 
     def test_third_row_shared_between_orientations(self, unbalanced_segment):
         classical = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK))
@@ -133,8 +138,8 @@ class TestAssemble:
     def test_normalized_amplitudes(self, unbalanced_segment):
         basis = build_basis(unbalanced_segment, PHASE_A_PEAK)
         frame = assemble(basis, normalized=True)
-        n1 = np.linalg.norm(basis.e1)
-        n2 = np.linalg.norm(basis.e2)
+        n1 = np.linalg.norm(basis.vectors[0])
+        n2 = np.linalg.norm(basis.vectors[1])
         for theta in np.linspace(0.0, TWO_PI, 97):
             v1, v2, v3 = apply(frame, evaluate(unbalanced_segment, theta))
             delta = theta - basis.theta_o
@@ -154,7 +159,7 @@ class TestAssemble:
         with pytest.raises(TypeError):
             LocusBasis(e1=e1, e2=e2, theta_o=0.0, degeneracy=1.0)
         basis = LocusBasis(e1, e2, 0.0)
-        assert basis.e3 == pytest.approx([0.0, 0.0, math.sqrt(3.0)])
+        assert basis.vectors[2] == pytest.approx([0.0, 0.0, math.sqrt(3.0)])
         assert assemble(basis).det_inverse == pytest.approx(math.sqrt(3.0))
 
 
@@ -162,9 +167,10 @@ class TestApply:
     def test_basis_vectors_map_to_axes(self, unbalanced_segment):
         basis = build_basis(unbalanced_segment, PHASE_A_PEAK)
         frame = assemble(basis)
-        assert apply(frame, basis.e1) == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
-        assert apply(frame, basis.e2) == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
-        assert apply(frame, basis.e3) == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
+        e1, e2, e3 = basis.vectors
+        assert apply(frame, e1) == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+        assert apply(frame, e2) == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+        assert apply(frame, e3) == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
     def test_signal_at_orientation_angle(self, unbalanced_segment):
         frame = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK))
@@ -174,6 +180,20 @@ class TestApply:
     def test_zero_maps_to_zero(self, unbalanced_segment):
         frame = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK))
         assert apply(frame, [0.0, 0.0, 0.0]) == pytest.approx([0.0, 0.0, 0.0])
+
+    def test_written_arrays_leave_frame_unchanged(self, unbalanced_segment):
+        # forward and inverse are new arrays on each read, so writing into one
+        # cannot change the frozen frame or what apply returns
+        frame = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK))
+        v = evaluate(unbalanced_segment, 0.3)
+        mapped, rows, columns = apply(frame, v), frame.rows, frame.columns
+        forward, inverse = frame.forward, frame.inverse
+        forward[0, 0] += 1.0
+        inverse[:, 1] = 0.0
+        assert np.array_equal(apply(frame, v), mapped)
+        assert frame.rows == rows and frame.columns == columns
+        assert np.array_equal(frame.forward, np.array(rows))
+        assert np.array_equal(frame.inverse, np.column_stack(columns))
 
     def test_block_application(self, unbalanced_segment):
         frame = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK))
