@@ -283,6 +283,8 @@ def cmd_measure(args) -> int:
 
     if not math.isfinite(args.t1_angle):
         raise ScenarioError(f"t1 angle must be finite, got {args.t1_angle}")
+    if args.t1_angle < 0.0:
+        raise ScenarioError(f"t1 angle must be >= 0, got {args.t1_angle}")
     if not 0.0 <= args.noise < math.inf:
         raise ScenarioError(f"noise sigma must be >= 0 and finite, got {args.noise}")
     if args.seed < 0:

@@ -23,7 +23,6 @@ from .waveform import (
     TransformedSeries,
     Triple,
     total_phases,
-    values_at,
     wrap_angle,
     TWO_PI,
 )
@@ -103,29 +102,31 @@ class LocusBasis:
     degeneracy: float
 
     def __init__(self, e1, e2, theta_o: float):
-        e1, e2 = _triple(e1), _triple(e2)
-        cross, n1, n2, cross_norm = _cross_and_norms(e1, e2)
+        e1, e2, (cx, cy, cz), n1, n2, cross_norm = _cross_and_norms(e1, e2)
         g = 2.0 * cross_norm / (n1 * n1 + n2 * n2) if min(n1, n2) > DEGENERACY_ATOL else 0.0
         if g <= DEGENERACY_RTOL:
             raise DegenerateLocusError(
                 f"linear locus: g = 2|e1 x e2|/(|e1|^2 + |e2|^2) = {g:.3e} "
                 f"with |e1| = {n1:.3e}, |e2| = {n2:.3e}"
             )
-        e3 = tuple(_NORMAL_SCALE * c / cross_norm for c in cross)
+        scale = _NORMAL_SCALE
+        e3 = (scale * cx / cross_norm, scale * cy / cross_norm, scale * cz / cross_norm)
         object.__setattr__(self, "vectors", (e1, e2, e3))
         object.__setattr__(self, "theta_o", theta_o)
         object.__setattr__(self, "degeneracy", min(1.0, cross_norm / (n1 * n2)))
 
 
-def _triple(v) -> Triple:
-    x, y, z = v
-    return float(x), float(y), float(z)
-
-
 def basis_vectors(segment: ScenarioSegment, theta_o: float) -> tuple[Triple, Triple]:
     """In-plane basis: the segment evaluated at theta_o and a quarter period
-    later, as float triples."""
-    return values_at(segment, theta_o), values_at(segment, theta_o + 0.5 * math.pi)
+    later, as float triples; each is values_at at its angle."""
+    va, vb, vc = segment.amplitudes
+    qa, qb, qc = total_phases(segment)
+    theta_2 = theta_o + 0.5 * math.pi
+    cos = math.cos
+    return (
+        (va * cos(theta_o + qa), vb * cos(theta_o + qb), vc * cos(theta_o + qc)),
+        (va * cos(theta_2 + qa), vb * cos(theta_2 + qb), vc * cos(theta_2 + qc)),
+    )
 
 
 def _cross(u, v) -> Triple:
@@ -140,22 +141,31 @@ def _norm(v) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
-def _cross_and_norms(u: Triple, v: Triple):
-    """(u x v, ||u||, ||v||, ||u x v||) of two float triples.  Raises LocusError
-    on a component that is not finite or above AMPLITUDE_MAX, before any
-    product can overflow."""
-    if not all(abs(x) <= AMPLITUDE_MAX for x in (*u, *v)):
+def _cross_and_norms(e1, e2):
+    """(e1, e2, e1 x e2, ||e1||, ||e2||, ||e1 x e2||) of two 3-vectors, the
+    vectors as float triples.  Raises LocusError on a component that is not
+    finite or above AMPLITUDE_MAX, before any product can overflow."""
+    x1, y1, z1 = e1
+    x2, y2, z2 = e2
+    e1 = x1, y1, z1 = float(x1), float(y1), float(z1)
+    e2 = x2, y2, z2 = float(x2), float(y2), float(z2)
+    bound = AMPLITUDE_MAX
+    # each comparison is false for NaN
+    if not (
+        abs(x1) <= bound and abs(y1) <= bound and abs(z1) <= bound
+        and abs(x2) <= bound and abs(y2) <= bound and abs(z2) <= bound
+    ):
         raise LocusError(
-            f"basis vector not finite or above {AMPLITUDE_MAX:.0e}: e1 = {list(u)}, e2 = {list(v)}"
+            f"basis vector not finite or above {bound:.0e}: e1 = {list(e1)}, e2 = {list(e2)}"
         )
-    cross = _cross(u, v)
-    return cross, _norm(u), _norm(v), _norm(cross)
+    cross = _cross(e1, e2)
+    return e1, e2, cross, _norm(e1), _norm(e2), _norm(cross)
 
 
 def degeneracy_metric(e1, e2) -> float:
     """||e1 x e2|| / (||e1|| ||e2||), clipped to [0, 1]; 0 when either norm is at
     most DEGENERACY_ATOL.  It is never below the g of the LocusBasis gate."""
-    _, n1, n2, cross_norm = _cross_and_norms(_triple(e1), _triple(e2))
+    _, _, _, n1, n2, cross_norm = _cross_and_norms(e1, e2)
     if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL:
         return 0.0
     return min(1.0, cross_norm / (n1 * n2))
@@ -166,12 +176,6 @@ def theta_phase_a_peak(segment: ScenarioSegment) -> float:
     if segment.amplitudes[0] == 0.0:
         raise UndefinedOrientationError("phase a has zero amplitude; its peak is undefined")
     return wrap_angle(-segment.phase_offsets[0])
-
-
-def _sum3(terms) -> float:
-    # left to right, as np.sum adds three terms; sum() compensates from Python 3.12
-    a, b, c = terms
-    return a + b + c
 
 
 def norm_profile(segment: ScenarioSegment) -> NormProfile:
@@ -186,11 +190,14 @@ def norm_profile(segment: ScenarioSegment) -> NormProfile:
     N = sum V_k^2 cos(2 q_k), D = sum V_k^2 sin(2 q_k).  A is always >= 0;
     psi is 0 by convention when N = D = 0 (circular locus).
     """
-    squares = [v * v for v in segment.amplitudes]
-    doubled = [2.0 * q for q in total_phases(segment)]
-    n_coef = _sum3(w * math.cos(q) for w, q in zip(squares, doubled))
-    d_coef = _sum3(w * math.sin(q) for w, q in zip(squares, doubled))
-    c_level = _sum3(squares) / 2.0
+    va, vb, vc = segment.amplitudes
+    qa, qb, qc = total_phases(segment)
+    wa, wb, wc = va * va, vb * vb, vc * vc
+    qa, qb, qc = 2.0 * qa, 2.0 * qb, 2.0 * qc
+    # each sum left to right, as np.sum adds three terms; sum() compensates from Python 3.12
+    n_coef = wa * math.cos(qa) + wb * math.cos(qb) + wc * math.cos(qc)
+    d_coef = wa * math.sin(qa) + wb * math.sin(qb) + wc * math.sin(qc)
+    c_level = (wa + wb + wc) / 2.0
     a_amplitude = 0.5 * math.hypot(n_coef, d_coef)
     psi = math.atan2(-n_coef, d_coef) if a_amplitude > 0.0 else 0.0
     return NormProfile(c_level=c_level, a_amplitude=a_amplitude, psi=psi)

@@ -41,8 +41,9 @@ class SequenceComponents:
 
 def to_phasors(segment: ScenarioSegment) -> PhasorTriple:
     """Phasors of a segment: V_k * exp(j * q_k) at its total phases q_k."""
-    phases = total_phases(segment)
-    return PhasorTriple(*(v * cmath.exp(1j * q) for v, q in zip(segment.amplitudes, phases)))
+    va, vb, vc = segment.amplitudes
+    qa, qb, qc = total_phases(segment)
+    return PhasorTriple(va * cmath.exp(1j * qa), vb * cmath.exp(1j * qb), vc * cmath.exp(1j * qc))
 
 
 def fortescue(phasors: PhasorTriple) -> SequenceComponents:

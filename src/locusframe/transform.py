@@ -69,12 +69,17 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
     e1, e2, e3 = basis.vectors
     if normalized:
         n1, n2 = _norm(e1), _norm(e2)
-        e1 = tuple(x / n1 for x in e1)
-        e2 = tuple(x / n2 for x in e2)
-    rows = _cross(e2, e3), _cross(e3, e1), _cross(e1, e2)
-    det = e1[0] * rows[0][0] + e2[0] * rows[1][0] + e3[0] * rows[2][0]
+        (x1, y1, z1), (x2, y2, z2) = e1, e2
+        e1 = (x1 / n1, y1 / n1, z1 / n1)
+        e2 = (x2 / n2, y2 / n2, z2 / n2)
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = _cross(e2, e3), _cross(e3, e1), _cross(e1, e2)
+    det = e1[0] * a1 + e2[0] * b1 + e3[0] * c1
     return FrameTransform(
-        rows=tuple(tuple(x / det for x in row) for row in rows),
+        rows=(
+            (a1 / det, a2 / det, a3 / det),
+            (b1 / det, b2 / det, b3 / det),
+            (c1 / det, c2 / det, c3 / det),
+        ),
         columns=(e1, e2, e3),
         theta_o=basis.theta_o,
         det_inverse=det,
@@ -105,7 +110,7 @@ def clarke_matrix() -> np.ndarray:
 def park_rotate(angle, pair):
     """Synchronous-frame projection of an in-plane pair.
 
-    d = cos(angle) x + sin(angle) y,  q = -sin(angle) x + cos(angle) y.
+    d = cos(angle) x + sin(angle) y,  q = cos(angle) y - sin(angle) x.
     ``angle`` and the pair components may be scalars or arrays.
     """
     import numpy as np
@@ -113,7 +118,7 @@ def park_rotate(angle, pair):
     x, y = pair
     c = np.cos(angle)
     s = np.sin(angle)
-    return c * x + s * y, -s * x + c * y
+    return c * x + s * y, c * y - s * x
 
 
 def _map_then_rotate(frame_kind, forward, abc: TransformedSeries):

@@ -135,7 +135,9 @@ class TransformedSeries:
 
 def total_phases(segment: ScenarioSegment) -> Triple:
     """Per-phase offsets with the structural shifts folded in."""
-    return tuple(p + s for p, s in zip(segment.phase_offsets, STRUCTURAL_SHIFTS))
+    pa, pb, pc = segment.phase_offsets
+    sa, sb, sc = STRUCTURAL_SHIFTS
+    return pa + sa, pb + sb, pc + sc
 
 
 def values_at(segment: ScenarioSegment, angle: float) -> Triple:
@@ -143,7 +145,9 @@ def values_at(segment: ScenarioSegment, angle: float) -> Triple:
 
     v_k = V_k cos(angle + phi_k + s_k) with s = (0, -2pi/3, +2pi/3).
     """
-    return tuple(v * math.cos(angle + q) for v, q in zip(segment.amplitudes, total_phases(segment)))
+    va, vb, vc = segment.amplitudes
+    qa, qb, qc = total_phases(segment)
+    return va * math.cos(angle + qa), vb * math.cos(angle + qb), vc * math.cos(angle + qc)
 
 
 def evaluate(segment: ScenarioSegment, angle) -> np.ndarray:

@@ -122,6 +122,19 @@ def random_segment(rng) -> ScenarioSegment:
     return ScenarioSegment(0.0, amps, offs)
 
 
+def exact_check_segments(seed=71, count=200):
+    """Inputs of the exact (==) kernel checks: the stock unbalanced and balanced
+    segments, then ``count`` seeded random ones."""
+    rng = np.random.default_rng(seed)
+    return [unbalanced_segment(), balanced_segment()] + [random_segment(rng) for _ in range(count)]
+
+
+def math_total_phases(segment):
+    """phi_k + s_k with s = (0, -2pi/3, +2pi/3) written out, in plain floats."""
+    shifts = (0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)
+    return [p + s for p, s in zip(segment.phase_offsets, shifts)]
+
+
 def random_nondegenerate_segment(rng, orientation, floor=1e-3) -> ScenarioSegment:
     """Redraw until the locus at the tested orientation is comfortably planar."""
     while True:

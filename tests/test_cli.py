@@ -628,6 +628,24 @@ class TestMeasure:
         _assert_rejected(code, out, err)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("t1", ["-1e-13", "-0.001"])
+    def test_negative_t1_rejected(self, capsys, scenario_path, tmp_path, t1):
+        # one rule below zero, before sampling: neither the span check's slack
+        # nor the analytic probe's segment_at decides
+        out_dir = tmp_path / "new"
+        argv = ["measure", str(scenario_path), f"--t1-angle={t1}", "--out", str(out_dir)]
+        code, out, err = _run(capsys, argv)
+        _assert_rejected(code, out, err)
+        assert err == f"error: t1 angle must be >= 0, got {float(t1)}\n"
+        assert not out_dir.exists()
+
+    def test_negative_zero_t1_accepted(self, capsys, scenario_path, tmp_path):
+        argv = ["measure", str(scenario_path), "--out", str(tmp_path)]
+        code, out, _ = _run(capsys, argv + ["--t1-angle=-0.0"])
+        _, zero_out, _ = _run(capsys, argv + ["--t1-angle=0.0"])
+        assert code == 0
+        assert out.splitlines()[-1] == zero_out.splitlines()[-1]
+
     def test_noise_draw_order(self, capsys, scenario_path, tmp_path):
         # sample i of the CSV carries draws 3i..3i+2 of default_rng(seed)
         argv = ["measure", str(scenario_path)]

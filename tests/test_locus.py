@@ -10,6 +10,7 @@ from locusframe import (
     DegenerateLocusError,
     InsufficientRateError,
     InsufficientSpanError,
+    LocusError,
     MAX_NORM,
     MeasurementError,
     PHASE_A_PEAK,
@@ -30,7 +31,7 @@ from locusframe import (
     wrap_angle,
 )
 from locusframe.locus import DEGENERACY_ATOL, DEGENERACY_RTOL
-from locusframe.waveform import PhasorScenario, TWO_PI
+from locusframe.waveform import PhasorScenario, TWO_PI, values_at
 
 import support
 
@@ -42,12 +43,26 @@ def test_basis_vectors_match_reference(unbalanced_segment):
     assert e2 == pytest.approx(support.E2_CLASSICAL, abs=1e-12)
 
 
+def _math_values(segment, angle):
+    """V_k cos(angle + q_k) in plain math, in the library's operation order."""
+    phases = support.math_total_phases(segment)
+    return tuple(v * math.cos(angle + q) for v, q in zip(segment.amplitudes, phases))
+
+
 def test_basis_vectors_quarter_period_apart(unbalanced_segment):
     # e2 is just the signal a quarter period after e1
     theta = 0.37
     e1, e2 = basis_vectors(unbalanced_segment, theta)
     assert e1 == pytest.approx(evaluate(unbalanced_segment, theta))
     assert e2 == pytest.approx(evaluate(unbalanced_segment, theta + math.pi / 2))
+    # bit for bit V_k cos(theta + q_k), as values_at gives it, at every orientation kind
+    for segment in support.exact_check_segments():
+        for orientation in (PHASE_A_PEAK, MAX_NORM, theta):
+            theta_o = resolve_orientation(segment, orientation)
+            e1, e2 = basis_vectors(segment, theta_o)
+            for vector, angle in ((e1, theta_o), (e2, theta_o + 0.5 * math.pi)):
+                assert vector == _math_values(segment, angle) == values_at(segment, angle)
+            assert build_basis(segment, orientation).vectors[:2] == (e1, e2)
 
 
 def test_locus_identity_reconstructs_signal(unbalanced_segment):
@@ -165,6 +180,18 @@ def _pairs_with_numpy_formulas():
         yield e1, e2, math.sqrt(3.0) * cross / cross_norm, min(1.0, float(cross_norm / (n1 * n2)))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5e50])
+@pytest.mark.parametrize("position", range(6))
+def test_component_gate(position, value):
+    # each of the six components is checked on its own, NaN included
+    pair = [[1.0, 0.5, -0.25], [0.0, 2.0, 1.0]]
+    pair[position // 3][position % 3] = value
+    with pytest.raises(LocusError, match="not finite or above"):
+        basis_from_vectors(*pair, 0.0)
+    with pytest.raises(LocusError, match="not finite or above"):
+        degeneracy_metric(*pair)
+
+
 def test_scalar_kernels_bit_identical_to_numpy_formulas():
     for e1, e2, e3, degeneracy in _pairs_with_numpy_formulas():
         basis = basis_from_vectors(e1, e2, 0.0)
@@ -209,6 +236,19 @@ class TestNormProfile:
                     2.0 * theta + profile.psi
                 )
                 assert closed == pytest.approx(direct, abs=1e-12)
+
+    def test_bit_identical_to_math_formula(self):
+        for segment in support.exact_check_segments():
+            wa, wb, wc = (v * v for v in segment.amplitudes)
+            qa, qb, qc = (2.0 * q for q in support.math_total_phases(segment))
+            # each three-term sum left to right
+            n_coef = wa * math.cos(qa) + wb * math.cos(qb) + wc * math.cos(qc)
+            d_coef = wa * math.sin(qa) + wb * math.sin(qb) + wc * math.sin(qc)
+            a_amplitude = 0.5 * math.hypot(n_coef, d_coef)
+            profile = norm_profile(segment)
+            assert profile.c_level == (wa + wb + wc) / 2.0
+            assert profile.a_amplitude == a_amplitude
+            assert profile.psi == (math.atan2(-n_coef, d_coef) if a_amplitude > 0.0 else 0.0)
 
     def test_single_phase(self):
         # ||v||^2 = cos^2(theta) = 1/2 + 1/2 cos(2 theta), so psi = -pi/2

@@ -50,6 +50,13 @@ class TestToPhasors:
         assert abs(phasors.a) == pytest.approx(0.7)
         assert cmath.phase(phasors.b) == pytest.approx(math.radians(-130.0))
 
+    def test_bit_identical_to_cmath_formula(self):
+        for segment in support.exact_check_segments():
+            phases = support.math_total_phases(segment)
+            expected = [v * cmath.exp(1j * q) for v, q in zip(segment.amplitudes, phases)]
+            phasors = to_phasors(segment)
+            assert [phasors.a, phasors.b, phasors.c] == expected
+
     def test_zero_amplitudes(self):
         segment = ScenarioSegment(0.0, (0.0,) * 3, (0.1, 0.2, 0.3))
         phasors = to_phasors(segment)

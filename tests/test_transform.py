@@ -242,6 +242,19 @@ class TestPark:
             assert d == pytest.approx(np.full(40, math.cos(theta_o)), abs=1e-12)
             assert q == pytest.approx(np.full(40, -math.sin(theta_o)), abs=1e-12)
 
+    def test_q_equals_the_negated_sine_form(self):
+        # q = c*y - s*x is -s*x + c*y bit for bit, signed zeros included
+        values = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 1e-300, -1e-300]
+        angles = [0.0, -0.0, math.pi / 2.0, -math.pi / 2.0, math.pi, 1.0, -2.0, 3.0]
+        x, y, theta = (a.ravel() for a in np.meshgrid(values, values, angles))
+        # the whole grid as arrays, then each point as scalars
+        for angle, (u, v) in [(theta, (x, y))] + list(zip(theta, zip(x, y))):
+            c, s = np.cos(angle), np.sin(angle)
+            d, q = park_rotate(angle, (u, v))
+            for got, expected in ((d, c * u + s * v), (q, -s * u + c * v)):
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+
 
 class TestTransformedSeries:
     def test_shape_checked(self):
