@@ -25,7 +25,6 @@ from .locus import (
     basis_from_vectors,
     basis_vectors,
     build_basis,
-    degeneracy_metric,
     norm_profile,
     resolve_orientation,
     theta_max_norm,

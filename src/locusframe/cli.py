@@ -186,11 +186,10 @@ def _segment_degeneracy(segment):
         theta = locus.theta_phase_a_peak(segment)
     except locus.UndefinedOrientationError:
         theta = 0.0
-    e1, e2 = locus.basis_vectors(segment, theta)
     try:
-        return locus.LocusBasis(e1, e2, theta).degeneracy, False
-    except locus.DegenerateLocusError:
-        return locus.degeneracy_metric(e1, e2), True
+        return locus.LocusBasis(*locus.basis_vectors(segment, theta), theta).degeneracy, False
+    except locus.DegenerateLocusError as exc:
+        return exc.degeneracy, True
 
 
 def _pick_segment(scenario, index_1based: int | None):
@@ -418,7 +417,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except locus.MeasurementError as exc:
@@ -427,9 +426,6 @@ def main(argv=None) -> int:
     except locus.LocusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .waveform import (
     TransformedSeries,
     Triple,
     total_phases,
+    values_at,
     wrap_angle,
     TWO_PI,
 )
@@ -52,7 +53,12 @@ class LocusError(Exception):
 
 
 class DegenerateLocusError(LocusError):
-    """The locus is a line segment; no plane normal exists."""
+    """The locus is a line segment; no plane normal exists.  ``degeneracy`` is
+    the rejected pair's LocusBasis.degeneracy."""
+
+    def __init__(self, message: str, degeneracy: float):
+        super().__init__(message)
+        self.degeneracy = degeneracy
 
 
 class UndefinedOrientationError(LocusError):
@@ -89,12 +95,15 @@ class LocusBasis:
     """Locus-aligned basis: e1, e2 span the locus plane, e3 is the scaled normal.
 
     Built from e1, e2 (any three numbers each) and theta_o; e3 and
-    ``degeneracy`` (see degeneracy_metric) are derived.  ``vectors`` holds
-    (e1, e2, e3) as float triples.  Raises DegenerateLocusError unless both
-    norms exceed DEGENERACY_ATOL and g = 2||e1 x e2|| / (||e1||^2 + ||e2||^2)
-    exceeds DEGENERACY_RTOL; g is 2ab/(a^2 + b^2) for the ellipse's semi-axes
-    a, b at every orientation, and cond([e1 e2 e3]) is about 2/g for a locus of
-    unit size.
+    ``degeneracy`` are derived.  ``vectors`` holds (e1, e2, e3) as float
+    triples.  ``degeneracy`` is ||e1 x e2|| / (||e1|| ||e2||) clipped to 1, or
+    0 when either norm is at most DEGENERACY_ATOL; it is never below g.
+    Raises LocusError on a component that is not finite or above
+    AMPLITUDE_MAX, and DegenerateLocusError unless both norms exceed
+    DEGENERACY_ATOL and g = 2||e1 x e2|| / (||e1||^2 + ||e2||^2) exceeds
+    DEGENERACY_RTOL; g is 2ab/(a^2 + b^2) for the ellipse's semi-axes a, b at
+    every orientation, and cond([e1 e2 e3]) is about 2/g for a locus of unit
+    size.
     """
 
     vectors: tuple[Triple, Triple, Triple]
@@ -102,31 +111,42 @@ class LocusBasis:
     degeneracy: float
 
     def __init__(self, e1, e2, theta_o: float):
-        e1, e2, (cx, cy, cz), n1, n2, cross_norm = _cross_and_norms(e1, e2)
-        g = 2.0 * cross_norm / (n1 * n1 + n2 * n2) if min(n1, n2) > DEGENERACY_ATOL else 0.0
+        x1, y1, z1 = e1
+        x2, y2, z2 = e2
+        e1 = x1, y1, z1 = float(x1), float(y1), float(z1)
+        e2 = x2, y2, z2 = float(x2), float(y2), float(z2)
+        bound = AMPLITUDE_MAX
+        # each comparison is false for NaN, and all run before any product can overflow
+        if not (
+            abs(x1) <= bound and abs(y1) <= bound and abs(z1) <= bound
+            and abs(x2) <= bound and abs(y2) <= bound and abs(z2) <= bound
+        ):
+            raise LocusError(
+                f"basis vector not finite or above {bound:.0e}: e1 = {list(e1)}, e2 = {list(e2)}"
+            )
+        cross = cx, cy, cz = _cross(e1, e2)
+        n1, n2, cross_norm = _norm(e1), _norm(e2), _norm(cross)
+        if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL:
+            g = degeneracy = 0.0
+        else:
+            g = 2.0 * cross_norm / (n1 * n1 + n2 * n2)
+            degeneracy = min(1.0, cross_norm / (n1 * n2))
         if g <= DEGENERACY_RTOL:
             raise DegenerateLocusError(
                 f"linear locus: g = 2|e1 x e2|/(|e1|^2 + |e2|^2) = {g:.3e} "
-                f"with |e1| = {n1:.3e}, |e2| = {n2:.3e}"
+                f"with |e1| = {n1:.3e}, |e2| = {n2:.3e}",
+                degeneracy,
             )
         scale = _NORMAL_SCALE
         e3 = (scale * cx / cross_norm, scale * cy / cross_norm, scale * cz / cross_norm)
         object.__setattr__(self, "vectors", (e1, e2, e3))
         object.__setattr__(self, "theta_o", theta_o)
-        object.__setattr__(self, "degeneracy", min(1.0, cross_norm / (n1 * n2)))
+        object.__setattr__(self, "degeneracy", degeneracy)
 
 
 def basis_vectors(segment: ScenarioSegment, theta_o: float) -> tuple[Triple, Triple]:
-    """In-plane basis: the segment evaluated at theta_o and a quarter period
-    later, as float triples; each is values_at at its angle."""
-    va, vb, vc = segment.amplitudes
-    qa, qb, qc = total_phases(segment)
-    theta_2 = theta_o + 0.5 * math.pi
-    cos = math.cos
-    return (
-        (va * cos(theta_o + qa), vb * cos(theta_o + qb), vc * cos(theta_o + qc)),
-        (va * cos(theta_2 + qa), vb * cos(theta_2 + qb), vc * cos(theta_2 + qc)),
-    )
+    """In-plane basis e1 = v(theta_o), e2 = v(theta_o + pi/2), as float triples."""
+    return values_at(segment, theta_o), values_at(segment, theta_o + 0.5 * math.pi)
 
 
 def _cross(u, v) -> Triple:
@@ -139,36 +159,6 @@ def _norm(v) -> float:
     """||v|| of a float triple: the square root of the plain sum of squares."""
     x, y, z = v
     return math.sqrt(x * x + y * y + z * z)
-
-
-def _cross_and_norms(e1, e2):
-    """(e1, e2, e1 x e2, ||e1||, ||e2||, ||e1 x e2||) of two 3-vectors, the
-    vectors as float triples.  Raises LocusError on a component that is not
-    finite or above AMPLITUDE_MAX, before any product can overflow."""
-    x1, y1, z1 = e1
-    x2, y2, z2 = e2
-    e1 = x1, y1, z1 = float(x1), float(y1), float(z1)
-    e2 = x2, y2, z2 = float(x2), float(y2), float(z2)
-    bound = AMPLITUDE_MAX
-    # each comparison is false for NaN
-    if not (
-        abs(x1) <= bound and abs(y1) <= bound and abs(z1) <= bound
-        and abs(x2) <= bound and abs(y2) <= bound and abs(z2) <= bound
-    ):
-        raise LocusError(
-            f"basis vector not finite or above {bound:.0e}: e1 = {list(e1)}, e2 = {list(e2)}"
-        )
-    cross = _cross(e1, e2)
-    return e1, e2, cross, _norm(e1), _norm(e2), _norm(cross)
-
-
-def degeneracy_metric(e1, e2) -> float:
-    """||e1 x e2|| / (||e1|| ||e2||), clipped to [0, 1]; 0 when either norm is at
-    most DEGENERACY_ATOL.  It is never below the g of the LocusBasis gate."""
-    _, _, _, n1, n2, cross_norm = _cross_and_norms(e1, e2)
-    if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL:
-        return 0.0
-    return min(1.0, cross_norm / (n1 * n2))
 
 
 def theta_phase_a_peak(segment: ScenarioSegment) -> float:

@@ -124,8 +124,8 @@ class TransformedSeries:
         coords = np.asarray(self.coords, dtype=float)
         if coords.shape != (3, angles.size):
             raise ValueError(f"coords shape {coords.shape} does not match {angles.size} angles")
-        if np.any(np.diff(angles) <= 0.0):
-            raise ValueError("angles must be strictly increasing")
+        if not (np.all(np.isfinite(angles)) and np.all(np.diff(angles) > 0.0)):
+            raise ValueError("angles must be finite and strictly increasing")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "coords", coords)
 

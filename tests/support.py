@@ -14,9 +14,9 @@ from locusframe import (
     LocusError,
     ScenarioSegment,
     basis_vectors,
-    degeneracy_metric,
     resolve_orientation,
 )
+from locusframe.locus import DEGENERACY_ATOL
 
 # stock unbalanced segment: amplitudes and per-phase offsets (degrees -70, -10, -90)
 UNBALANCED_AMPS = (0.7, 1.0, 0.4)
@@ -107,6 +107,18 @@ def explicit_norm(v) -> float:
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
+def cross_share(e1, e2) -> float:
+    """|e1 x e2| / (|e1| |e2|) of two 3-vectors in plain floats, clipped to 1, and 0
+    when either norm is at most DEGENERACY_ATOL: the degeneracy of LocusBasis."""
+    x1, y1, z1 = map(float, e1)
+    x2, y2, z2 = map(float, e2)
+    n1, n2 = explicit_norm((x1, y1, z1)), explicit_norm((x2, y2, z2))
+    if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL:
+        return 0.0
+    cross = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    return min(1.0, explicit_norm(cross) / (n1 * n2))
+
+
 def unbalanced_segment(start_angle=0.0) -> ScenarioSegment:
     return ScenarioSegment(start_angle, UNBALANCED_AMPS, UNBALANCED_OFFSETS)
 
@@ -143,5 +155,5 @@ def random_nondegenerate_segment(rng, orientation, floor=1e-3) -> ScenarioSegmen
             theta = resolve_orientation(segment, orientation)
         except LocusError:
             continue
-        if degeneracy_metric(*basis_vectors(segment, theta)) >= floor:
+        if cross_share(*basis_vectors(segment, theta)) >= floor:
             return segment

@@ -26,7 +26,6 @@ from locusframe import (
     assemble,
     basis_vectors,
     build_basis,
-    degeneracy_metric,
     load_scenario,
     pipeline_locus,
 )
@@ -676,7 +675,7 @@ class TestFrameGate:
         code, out, _ = _run(capsys, ["validate", str(path)])
         assert code == 0
         # the printed degeneracy stays the cross share, the flag is the gate
-        assert f"degeneracy {degeneracy_metric(e1, e2):.6f}  [degenerate]" in out
+        assert f"degeneracy {support.cross_share(e1, e2):.6f}  [degenerate]" in out
         if eps_deg == 1e-7:
             assert "degeneracy 0.816497  [degenerate]" in out
         n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
@@ -942,13 +941,20 @@ _GOLDEN_RUNS = _golden_runs()
 
 
 @pytest.mark.parametrize(
-    "argv, stdout", _GOLDEN_RUNS, ids=[" ".join([a[0], *a[2:]]) for a, _ in _GOLDEN_RUNS]
+    "argv, stdout",
+    _GOLDEN_RUNS,
+    # the stock scenario's runs are named without its path
+    ids=[
+        " ".join(a for a in argv if a != "scenarios/unbalance_step.json")
+        for argv, _ in _GOLDEN_RUNS
+    ],
 )
-def test_golden_stdout(capsys, scenario_path, argv, stdout):
-    # recorded text of validate and every matrix run on the stock scenario;
-    # it pins the sign of printed zeros
-    assert argv[1] == "scenarios/unbalance_step.json"
-    code, out, err = _run(capsys, [argv[0], str(scenario_path), *argv[2:]])
+def test_golden_stdout(capsys, argv, stdout):
+    # recorded text of validate on the stock and the degenerate-loci scenarios and
+    # of every matrix run on the stock one; it pins the sign of printed zeros and,
+    # for rejected segments, the degeneracy the gate reports
+    path = Path(__file__).resolve().parent.parent / argv[1]
+    code, out, err = _run(capsys, [argv[0], str(path), *argv[2:]])
     assert (code, out, err) == (0, stdout, "")
 
 

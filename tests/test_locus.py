@@ -21,7 +21,6 @@ from locusframe import (
     basis_from_vectors,
     basis_vectors,
     build_basis,
-    degeneracy_metric,
     evaluate,
     norm_profile,
     resolve_orientation,
@@ -78,21 +77,29 @@ def test_locus_identity_reconstructs_signal(unbalanced_segment):
 
 
 class TestDegeneracyMetric:
+    """``degeneracy`` is the cross share |e1 x e2|/(|e1| |e2|), accepted or rejected."""
+
     def test_orthonormal_pair(self):
-        assert degeneracy_metric([1, 0, 0], [0, 1, 0]) == pytest.approx(1.0)
+        assert basis_from_vectors([1, 0, 0], [0, 1, 0], 0.0).degeneracy == 1.0
 
     def test_collinear_pair(self):
-        assert degeneracy_metric([1, 2, 3], [2, 4, 6]) == pytest.approx(0.0)
+        with pytest.raises(DegenerateLocusError) as caught:
+            basis_from_vectors([1, 2, 3], [2, 4, 6], 0.0)
+        assert caught.value.degeneracy == support.cross_share([1, 2, 3], [2, 4, 6])
+        assert caught.value.degeneracy == pytest.approx(0.0)
 
     def test_zero_vector(self):
-        assert degeneracy_metric([0, 0, 0], [1, 0, 0]) == 0.0
+        with pytest.raises(DegenerateLocusError) as caught:
+            basis_from_vectors([0, 0, 0], [1, 0, 0], 0.0)
+        assert caught.value.degeneracy == 0.0
 
     def test_null_floor(self):
         # orthogonal, but each norm at or below DEGENERACY_ATOL
         e1, e2 = [1e-13, 0.0, 0.0], [0.0, 1e-13, 0.0]
-        assert degeneracy_metric(e1, e2) == 0.0
-        with pytest.raises(DegenerateLocusError):
+        assert support.cross_share(e1, e2) == 0.0
+        with pytest.raises(DegenerateLocusError) as caught:
             basis_from_vectors(e1, e2, 0.0)
+        assert caught.value.degeneracy == 0.0
 
     def test_metric_is_the_basis_gate(self):
         rng = np.random.default_rng(17)
@@ -113,19 +120,25 @@ class TestDegeneracyMetric:
             should_reject = min(n1, n2) <= DEGENERACY_ATOL or g <= DEGENERACY_RTOL
             try:
                 basis = basis_from_vectors(e1, e2, 0.0)
-            except DegenerateLocusError:
+            except DegenerateLocusError as exc:
                 assert should_reject
                 rejected += 1
+                assert exc.degeneracy == support.cross_share(e1, e2)
             else:
                 assert not should_reject
-                assert basis.degeneracy == degeneracy_metric(e1, e2)
+                assert basis.degeneracy == support.cross_share(e1, e2)
         assert 100 < rejected < 500
 
     def test_clipped_to_one(self):
+        # orthogonal in decimal; the unclipped share rounds to 1 + 2**-52
+        e1, e2 = [0.316, -0.234, 1.33], [0.149, 0.241, 0.007]
+        n1, n2 = support.explicit_norm(e1), support.explicit_norm(e2)
+        assert support.explicit_norm(np.cross(e1, e2)) / (n1 * n2) > 1.0
+        assert basis_from_vectors(e1, e2, 0.0).degeneracy == support.cross_share(e1, e2) == 1.0
         rng = np.random.default_rng(5)
         for _ in range(100):
-            value = degeneracy_metric(rng.normal(size=3), rng.normal(size=3))
-            assert 0.0 <= value <= 1.0
+            basis = basis_from_vectors(rng.normal(size=3), rng.normal(size=3), 0.0)
+            assert 0.0 <= basis.degeneracy <= 1.0
 
 
 class TestNormalVector:
@@ -188,16 +201,13 @@ def test_component_gate(position, value):
     pair[position // 3][position % 3] = value
     with pytest.raises(LocusError, match="not finite or above"):
         basis_from_vectors(*pair, 0.0)
-    with pytest.raises(LocusError, match="not finite or above"):
-        degeneracy_metric(*pair)
 
 
 def test_scalar_kernels_bit_identical_to_numpy_formulas():
     for e1, e2, e3, degeneracy in _pairs_with_numpy_formulas():
         basis = basis_from_vectors(e1, e2, 0.0)
         assert np.array_equal(basis.vectors[2], e3)
-        assert basis.degeneracy == degeneracy
-        assert degeneracy_metric(e1, e2) == degeneracy
+        assert basis.degeneracy == degeneracy == support.cross_share(e1, e2)
 
 
 class TestThetaPhaseAPeak:

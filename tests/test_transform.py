@@ -269,6 +269,14 @@ class TestTransformedSeries:
         with pytest.raises(ValueError, match="increasing"):
             TransformedSeries("abc", np.array([0.0, 1.0, 1.0]), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize(
+        "angles", [[0.0, math.nan, 2.0], [math.nan], [0.0, math.inf]], ids=["nan", "one-nan", "inf"]
+    )
+    def test_angles_finite(self, angles):
+        # a comparison with NaN is false, so a difference test alone lets these through
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TransformedSeries("abc", angles, np.zeros((3, len(angles))))
+
 
 class TestPipelineLocus:
     def test_unit_quadrature_on_basis_segment(self, step_scenario):
