@@ -12,8 +12,6 @@ components are included for comparison.
 from .locus import (
     CircularLocusError,
     DegenerateLocusError,
-    InsufficientRateError,
-    InsufficientSpanError,
     LocusBasis,
     LocusError,
     MAX_NORM,
@@ -50,7 +48,6 @@ from .transform import (
     pipeline_locus,
 )
 from .waveform import (
-    FRAME_KINDS,
     PhasorScenario,
     ScenarioError,
     ScenarioSegment,

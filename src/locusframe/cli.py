@@ -65,13 +65,6 @@ def _csv_tables():
     fraction_low = _ascii_words(text + end for end in ",\n" for text in digits)
     return units, high, fraction_high, fraction_low
 
-_CSV_HEADERS = {
-    "abc": "t,Va,Vb,Vc",
-    "locus123": "t,V1,V2,V3",
-    "clarke_ab0": "t,Valpha,Vbeta,V0",
-    "dq0": "t,Vd,Vq,V0",
-}
-
 
 def parse_orientation(text: str):
     """argparse type for --orientation: a named choice or ``angle:<radians>``."""
@@ -158,8 +151,8 @@ def _fixed_rows(rows: np.ndarray) -> bytes | None:
     return words.tobytes().translate(None, b"\0")
 
 
-def write_series_csv(path, series: waveform.TransformedSeries) -> None:
-    """Write a series as CSV: header row, then %.6f values, comma-separated.
+def write_series_csv(path, series: waveform.TransformedSeries, header: str) -> None:
+    """Write a series as CSV: ``header``, then %.6f values, comma-separated.
 
     Rows are rendered a block at a time by :func:`_fixed_rows`; a block it
     cannot prove exact is %-formatted instead.  Both give the bytes of
@@ -167,7 +160,6 @@ def write_series_csv(path, series: waveform.TransformedSeries) -> None:
     """
     import numpy as np
 
-    header = _CSV_HEADERS[series.frame_kind]
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii") + b"\n")
         for lo in range(0, len(series), _CSV_BLOCK_ROWS):
@@ -252,27 +244,27 @@ def cmd_simulate(args) -> int:
     abc = transform.abc_series(scenario, args.rate, periods)
     outputs = []
     if "abc" in args.frames:
-        outputs.append(("V_abc.csv", abc))
+        outputs.append(("V_abc.csv", "t,Va,Vb,Vc", abc))
     if "locus123" in args.frames or "dq0" in args.frames:
         basis = locus.build_basis(scenario.segments[index], args.orientation)
         frame = transform.assemble(basis, normalized=args.normalized)
         series123, dq0 = transform.pipeline_locus(abc, frame)
         label = orientation_label(args.orientation)
         if "locus123" in args.frames:
-            outputs.append((f"V_123_{label}.csv", series123))
+            outputs.append((f"V_123_{label}.csv", "t,V1,V2,V3", series123))
         if "dq0" in args.frames:
-            outputs.append((f"V_dq0_{label}.csv", dq0))
+            outputs.append((f"V_dq0_{label}.csv", "t,Vd,Vq,V0", dq0))
     if "clarke" in args.frames:
         ab0, clarke_dq0 = transform.pipeline_clarke_park(abc)
-        outputs.append(("V_ab0_clarke.csv", ab0))
+        outputs.append(("V_ab0_clarke.csv", "t,Valpha,Vbeta,V0", ab0))
         if "dq0" in args.frames:
-            outputs.append(("V_dq0_clarke.csv", clarke_dq0))
+            outputs.append(("V_dq0_clarke.csv", "t,Vd,Vq,V0", clarke_dq0))
 
     # only now: a rejected grid or a degenerate basis leaves no directory
     os.makedirs(args.out, exist_ok=True)
-    for name, series in outputs:
+    for name, header, series in outputs:
         path = os.path.join(args.out, name)
-        write_series_csv(path, series)
+        write_series_csv(path, series, header)
         print(f"wrote {path}")
     return 0
 
@@ -294,7 +286,7 @@ def cmd_measure(args) -> int:
         # one sample-major draw: sample i gets draws 3i..3i+2
         rng = np.random.default_rng(args.seed)
         noise = rng.normal(0.0, args.noise, size=(len(series), 3))
-        series = waveform.TransformedSeries("abc", series.angles, series.coords + noise.T)
+        series = waveform.TransformedSeries(series.angles, series.coords + noise.T)
 
     e1, e2 = locus.basis_from_stream(series, args.t1_angle)
     measured = transform.assemble(locus.basis_from_vectors(e1, e2, args.t1_angle))
@@ -309,7 +301,7 @@ def cmd_measure(args) -> int:
     # only now: a rejected measurement leaves no directory
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "V_abc_measured.csv")
-    write_series_csv(path, series)
+    write_series_csv(path, series, "t,Va,Vb,Vc")
 
     print(f"samples per period: {args.rate}")
     print(f"t1 angle: {args.t1_angle:.6f} rad")
@@ -319,8 +311,16 @@ def cmd_measure(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad arguments with one ``error:`` line and exit 2, no usage block;
+    subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="locusframe",
         description="Locus-aligned reference-frame transforms for three-phase scenarios.",
     )

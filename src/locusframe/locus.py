@@ -70,15 +70,8 @@ class CircularLocusError(LocusError):
 
 
 class MeasurementError(LocusError):
-    """Base class for sample-based estimation failures."""
-
-
-class InsufficientSpanError(MeasurementError):
-    """A sampled series does not cover the required angle window."""
-
-
-class InsufficientRateError(MeasurementError):
-    """A sampled series is below the minimum sampling rate."""
+    """A sampled series cannot support the estimation: too short, not uniform,
+    too coarse or not covering the required angle window."""
 
 
 @dataclass(frozen=True)
@@ -244,26 +237,25 @@ def basis_from_stream(series: TransformedSeries, t1_angle: float) -> tuple[Tripl
 
     Linearly interpolates the series at t1_angle and t1_angle + pi/2, giving
     two float triples; the implied orientation angle is t1_angle.  The series
-    must be uniformly sampled (MeasurementError), cover [t1_angle,
-    t1_angle + pi/2] (InsufficientSpanError) and carry at least
-    MIN_STREAM_RATE samples per period (InsufficientRateError).
+    must be uniformly sampled, carry at least MIN_STREAM_RATE samples per
+    period and cover [t1_angle, t1_angle + pi/2], or MeasurementError is raised.
     """
     import numpy as np
 
     t2_angle = t1_angle + 0.5 * math.pi
     if len(series) < 2:
-        raise InsufficientSpanError("series holds fewer than two samples")
+        raise MeasurementError("series holds fewer than two samples")
     angles = series.angles
     step = angles[1] - angles[0]
     if step <= 0.0 or np.any(np.abs(np.diff(angles) - step) > 1e-9):
         raise MeasurementError("series is not uniformly sampled")
     rate = TWO_PI / step
     if rate < MIN_STREAM_RATE - 1e-9:
-        raise InsufficientRateError(
+        raise MeasurementError(
             f"{rate:.1f} samples per period; need at least {MIN_STREAM_RATE}"
         )
     if t1_angle < angles[0] - 1e-12 or t2_angle > angles[-1] + 1e-12:
-        raise InsufficientSpanError(
+        raise MeasurementError(
             f"series spans [{angles[0]:.6f}, {angles[-1]:.6f}] rad, "
             f"estimation needs [{t1_angle:.6f}, {t2_angle:.6f}]"
         )

@@ -34,15 +34,13 @@ class FrameTransform:
     columns, the basis vectors that generate the frame, as float triples;
     ``forward`` and ``inverse`` build the two matrices as new arrays on each
     read, so writing into one leaves the frame as it was.
-    ``det_inverse`` is the determinant of the inverse.  ``normalized`` marks a
-    frame whose in-plane basis vectors were rescaled to unit norm.
+    ``det_inverse`` is the determinant of the inverse.
     """
 
     rows: tuple[Triple, Triple, Triple]
     columns: tuple[Triple, Triple, Triple]
     theta_o: float
     det_inverse: float
-    normalized: bool = False
 
     @property
     def forward(self) -> np.ndarray:
@@ -83,7 +81,6 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
         columns=(e1, e2, e3),
         theta_o=basis.theta_o,
         det_inverse=det,
-        normalized=normalized,
     )
 
 
@@ -121,8 +118,8 @@ def park_rotate(angle, pair):
     return c * x + s * y, c * y - s * x
 
 
-def _map_then_rotate(frame_kind, forward, abc: TransformedSeries):
-    """(frame_kind series, dq0 series) of ``forward @ abc.coords``.
+def _map_then_rotate(forward, abc: TransformedSeries):
+    """(mapped series, dq0 series) of ``forward @ abc.coords``.
 
     The synchronous rotation angle equals the grid angle, i.e. it is null at
     the series start; the third channel passes through unchanged.
@@ -132,8 +129,8 @@ def _map_then_rotate(frame_kind, forward, abc: TransformedSeries):
     coords = forward @ abc.coords
     d, q = park_rotate(abc.angles, (coords[0], coords[1]))
     return (
-        TransformedSeries(frame_kind, abc.angles, coords),
-        TransformedSeries("dq0", abc.angles, np.vstack([d, q, coords[2]])),
+        TransformedSeries(abc.angles, coords),
+        TransformedSeries(abc.angles, np.vstack([d, q, coords[2]])),
     )
 
 
@@ -142,13 +139,13 @@ def pipeline_locus(abc: TransformedSeries, frame: FrameTransform):
 
     Returns (locus123 series, dq0 series).
     """
-    return _map_then_rotate("locus123", frame.forward, abc)
+    return _map_then_rotate(frame.forward, abc)
 
 
 def pipeline_clarke_park(abc: TransformedSeries):
     """abc -> alpha, beta, 0 -> dq0 with the fixed Clarke basis.
 
-    Returns (clarke_ab0 series, dq0 series).  The zero channel is
+    Returns (alpha-beta-0 series, dq0 series).  The zero channel is
     (v_a + v_b + v_c) / 3, the third Clarke row.
     """
-    return _map_then_rotate("clarke_ab0", clarke_matrix(), abc)
+    return _map_then_rotate(clarke_matrix(), abc)

@@ -99,27 +99,19 @@ class PhasorScenario:
         return self.omega / TWO_PI
 
 
-#: recognized time-series coordinate frames
-FRAME_KINDS = ("abc", "locus123", "clarke_ab0", "dq0")
-
-
 @dataclass(frozen=True)
 class TransformedSeries:
     """A coordinate time series: angles (omega*t) and three channels.
 
-    ``coords`` has shape (3, len(angles)); ``frame_kind`` is one of
-    FRAME_KINDS.  ``len(series)`` is the sample count.
+    ``coords`` has shape (3, len(angles)); ``len(series)`` is the sample count.
     """
 
-    frame_kind: str
     angles: np.ndarray
     coords: np.ndarray
 
     def __post_init__(self):
         import numpy as np
 
-        if self.frame_kind not in FRAME_KINDS:
-            raise ValueError(f"unknown frame kind {self.frame_kind!r}")
         angles = np.asarray(self.angles, dtype=float)
         coords = np.asarray(self.coords, dtype=float)
         if coords.shape != (3, angles.size):
@@ -237,7 +229,7 @@ def sample_series(
     series holds N*periods + 1 samples.
     """
     angles = sample_angles(samples_per_period, periods)
-    return TransformedSeries("abc", angles, evaluate_scenario(scenario, angles))
+    return TransformedSeries(angles, evaluate_scenario(scenario, angles))
 
 
 def _require(mapping, key, where):

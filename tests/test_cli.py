@@ -34,7 +34,6 @@ from locusframe.locus import DEGENERACY_RTOL
 from locusframe.waveform import AMPLITUDE_MAX
 from locusframe.cli import (
     _CSV_BLOCK_ROWS,
-    _CSV_HEADERS,
     main,
     matrix_lines,
     orientation_label,
@@ -70,6 +69,16 @@ def _assert_rejected(code, out, err, expected=2):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert out == ""
+
+
+def _assert_usage_rejected(capsys, argv):
+    """argparse rejects argv: exit 2 with one error line and no usage block."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    _assert_rejected(excinfo.value.code, captured.out, captured.err)
+    assert "usage:" not in captured.err
+    return captured.err
 
 
 def _write_scenario(tmp_path, text):
@@ -130,20 +139,13 @@ class TestOrientationPlumbing:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_orientation(text)
 
-    def test_non_finite_angle_flag_exits_2(self, scenario_path, tmp_path):
+    def test_non_finite_angle_flag_exits_2(self, capsys, scenario_path, tmp_path):
         out_dir = tmp_path / "out"
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "simulate",
-                    str(scenario_path),
-                    "--orientation",
-                    "angle:nan",
-                    "--out",
-                    str(out_dir),
-                ]
-            )
-        assert excinfo.value.code == 2
+        err = _assert_usage_rejected(
+            capsys,
+            ["simulate", str(scenario_path), "--orientation", "angle:nan", "--out", str(out_dir)],
+        )
+        assert "bad angle" in err
         assert not out_dir.exists()
 
 
@@ -324,10 +326,11 @@ class TestMatrix:
         _assert_rejected(code, out, err)
         assert "finite" in err
 
-    def test_bad_orientation_flag(self, scenario_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["matrix", str(scenario_path), "--orientation", "sideways"])
-        assert excinfo.value.code == 2
+    def test_bad_orientation_flag(self, capsys, scenario_path):
+        err = _assert_usage_rejected(
+            capsys, ["matrix", str(scenario_path), "--orientation", "sideways"]
+        )
+        assert "'sideways'" in err
 
 
 class TestSimulate:
@@ -461,19 +464,17 @@ class TestSimulate:
         assert "samples_per_period" in err
         assert not out_dir.exists()
 
-    def test_bad_frame_token(self, scenario_path, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "simulate",
-                    str(scenario_path),
-                    "--frames",
-                    "abc,xyz",
-                    "--out",
-                    str(tmp_path),
-                ]
-            )
-        assert excinfo.value.code == 2
+    def test_bad_frame_token(self, capsys, scenario_path, tmp_path):
+        err = _assert_usage_rejected(
+            capsys, ["simulate", str(scenario_path), "--frames", "abc,xyz", "--out", str(tmp_path)]
+        )
+        assert "'xyz'" in err
+
+    def test_non_integer_rate_flag(self, capsys, scenario_path, tmp_path):
+        err = _assert_usage_rejected(
+            capsys, ["simulate", str(scenario_path), "--rate", "abc", "--out", str(tmp_path)]
+        )
+        assert "--rate" in err
 
 
     @pytest.mark.parametrize(
@@ -531,22 +532,30 @@ class TestMeasure:
     def test_rate_below_floor(self, capsys, scenario_path, tmp_path):
         # a rejected measurement writes no CSV and not even the directory
         out_dir = tmp_path / "new"
-        code, _, err = _run(
+        code, out, err = _run(
             capsys,
             ["measure", str(scenario_path), "--rate", "32", "--out", str(out_dir)],
         )
-        assert code == 4
-        assert "error:" in err
+        _assert_rejected(code, out, err, expected=4)
+        assert "samples per period" in err
         assert not out_dir.exists()
 
     def test_insufficient_span(self, capsys, scenario_path, tmp_path):
         out_dir = tmp_path / "new"
-        code, _, err = _run(
+        code, out, err = _run(
             capsys,
             ["measure", str(scenario_path), "--t1-angle", "6.0", "--out", str(out_dir)],
         )
-        assert code == 4
-        assert "error:" in err
+        _assert_rejected(code, out, err, expected=4)
+        assert "estimation needs" in err
+        assert not out_dir.exists()
+
+    def test_single_sample_series(self, capsys, scenario_path, tmp_path):
+        out_dir = tmp_path / "new"
+        argv = ["measure", str(scenario_path), "--rate", "64", "--periods", "1e-300"]
+        code, out, err = _run(capsys, argv + ["--out", str(out_dir)])
+        _assert_rejected(code, out, err, expected=4)
+        assert "fewer than two samples" in err
         assert not out_dir.exists()
 
     def test_noise_is_reproducible(self, capsys, scenario_path, tmp_path):
@@ -810,6 +819,19 @@ def _check_run(argv, out_dir=None):
     return out
 
 
+@pytest.mark.parametrize("argv", [[], ["measure"]], ids=["no subcommand", "no scenario"])
+def test_missing_argument_is_one_error_line(capsys, argv):
+    err = _assert_usage_rejected(capsys, argv)
+    assert "required" in err
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
 _STOCK_DOC = _one_segment_doc((0.7, 1.0, 0.4), (-70.0, -10.0, -90.0))
 _STOCK_SEGMENT = _STOCK_DOC["segments"][0]
 _FUZZ_EXAMPLES = [
@@ -882,14 +904,12 @@ def test_csv_tables_built_on_first_write(scenario_path, tmp_path):
     abc = abc_series(scenario, 1000, 1.0)
     frame = assemble(build_basis(scenario.segments[-1], PHASE_A_PEAK))
     series123, dq0 = pipeline_locus(abc, frame)
-    for name, series in [
-        ("V_abc.csv", abc),
-        ("V_123_classical.csv", series123),
-        ("V_dq0_classical.csv", dq0),
+    for name, header, series in [
+        ("V_abc.csv", "t,Va,Vb,Vc", abc),
+        ("V_123_classical.csv", "t,V1,V2,V3", series123),
+        ("V_dq0_classical.csv", "t,Vd,Vq,V0", dq0),
     ]:
-        assert (tmp_path / name).read_bytes() == _percent_csv(
-            _CSV_HEADERS[series.frame_kind], series.angles, series.coords
-        )
+        assert (tmp_path / name).read_bytes() == _percent_csv(header, series.angles, series.coords)
 
 
 @pytest.mark.parametrize(
@@ -969,9 +989,9 @@ def test_write_series_csv_matches_per_row_format(tmp_path):
     coords[1, -len(special) :] = special
     coords[2, _CSV_BLOCK_ROWS - 4 : _CSV_BLOCK_ROWS + 4] = special
     angles = np.arange(n) * (2.0 * math.pi / 1000.0) + 100.0
-    series = TransformedSeries("dq0", angles, coords)
+    series = TransformedSeries(angles, coords)
     path = tmp_path / "series.csv"
-    write_series_csv(path, series)
+    write_series_csv(path, series, "t,Vd,Vq,V0")
     expected = "t,Vd,Vq,V0\n" + "".join(
         f"{angle:.6f},{coords[0, i]:.6f},{coords[1, i]:.6f},{coords[2, i]:.6f}\n"
         for i, angle in enumerate(angles)
@@ -982,7 +1002,7 @@ def test_write_series_csv_matches_per_row_format(tmp_path):
 
 def test_write_series_csv_empty_series(tmp_path):
     path = tmp_path / "empty.csv"
-    write_series_csv(path, TransformedSeries("abc", np.empty(0), np.empty((3, 0))))
+    write_series_csv(path, TransformedSeries(np.empty(0), np.empty((3, 0))), "t,Va,Vb,Vc")
     assert path.read_bytes() == b"t,Va,Vb,Vc\n"
 
 
@@ -1030,7 +1050,7 @@ def test_write_series_csv_exact_values(tmp_path, value, rendered):
     edges = [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, n - 1]
     coords[:, edges] = value
     path = tmp_path / "series.csv"
-    write_series_csv(path, TransformedSeries("abc", angles, coords))
+    write_series_csv(path, TransformedSeries(angles, coords), "t,Va,Vb,Vc")
     assert path.read_bytes() == _percent_csv("t,Va,Vb,Vc", angles, coords)
     # rendered from the word tables, or declined to %-formatting
     assert (cli._fixed_rows(np.full((1, 4), value)) is not None) == rendered
@@ -1066,7 +1086,7 @@ def test_write_series_csv_matches_percent_format_property(values, tmp_path_facto
     path = tmp_path_factory.getbasetemp() / "property.csv"
     # blocks of two rows: one declined value leaves its neighbours rendered
     with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 2):
-        write_series_csv(path, TransformedSeries("dq0", angles, coords))
+        write_series_csv(path, TransformedSeries(angles, coords), "t,Vd,Vq,V0")
     assert path.read_bytes() == _percent_csv("t,Vd,Vq,V0", angles, coords)
 
 

@@ -94,7 +94,6 @@ class TestAssemble:
         frame = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK))
         assert frame.forward == pytest.approx(support.FORWARD_CLASSICAL, abs=1e-12)
         assert frame.theta_o == pytest.approx(support.THETA_CLASSICAL)
-        assert frame.normalized is False
 
     def test_golden_desired(self, unbalanced_segment):
         frame = assemble(build_basis(unbalanced_segment, MAX_NORM))
@@ -133,7 +132,6 @@ class TestAssemble:
         frame = assemble(build_basis(unbalanced_segment, PHASE_A_PEAK), normalized=True)
         assert np.linalg.norm(frame.inverse[:, 0]) == pytest.approx(1.0)
         assert np.linalg.norm(frame.inverse[:, 1]) == pytest.approx(1.0)
-        assert frame.normalized is True
 
     def test_normalized_amplitudes(self, unbalanced_segment):
         basis = build_basis(unbalanced_segment, PHASE_A_PEAK)
@@ -259,15 +257,11 @@ class TestPark:
 class TestTransformedSeries:
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
-            TransformedSeries("abc", np.arange(4.0), np.zeros((3, 5)))
-
-    def test_frame_kind_checked(self):
-        with pytest.raises(ValueError, match="frame kind"):
-            TransformedSeries("xyz", np.arange(4.0), np.zeros((3, 4)))
+            TransformedSeries(np.arange(4.0), np.zeros((3, 5)))
 
     def test_angles_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
-            TransformedSeries("abc", np.array([0.0, 1.0, 1.0]), np.zeros((3, 3)))
+            TransformedSeries(np.array([0.0, 1.0, 1.0]), np.zeros((3, 3)))
 
     @pytest.mark.parametrize(
         "angles", [[0.0, math.nan, 2.0], [math.nan], [0.0, math.inf]], ids=["nan", "one-nan", "inf"]
@@ -275,14 +269,13 @@ class TestTransformedSeries:
     def test_angles_finite(self, angles):
         # a comparison with NaN is false, so a difference test alone lets these through
         with pytest.raises(ValueError, match="strictly increasing"):
-            TransformedSeries("abc", angles, np.zeros((3, len(angles))))
+            TransformedSeries(angles, np.zeros((3, len(angles))))
 
 
 class TestPipelineLocus:
     def test_unit_quadrature_on_basis_segment(self, step_scenario):
         frame = assemble(build_basis(step_scenario.segments[1], PHASE_A_PEAK))
         series, dq0 = pipeline_locus(abc_series(step_scenario, 1000, 2.0), frame)
-        assert series.frame_kind == "locus123"
         mask = series.angles >= TWO_PI - 1e-12
         v1, v2, v3 = series.coords
         radius = v1[mask] ** 2 + v2[mask] ** 2
@@ -312,7 +305,6 @@ class TestPipelineClarkePark:
     def test_balanced_constants(self):
         scenario = _scenario(support.balanced_segment(offset=0.3))
         ab0, dq0 = pipeline_clarke_park(abc_series(scenario, 500, 1.0))
-        assert ab0.frame_kind == "clarke_ab0"
         alpha, beta, zero = ab0.coords
         assert np.max(np.abs(alpha**2 + beta**2 - 1.0)) < 1e-12
         assert np.max(np.abs(zero)) < 1e-12
@@ -342,7 +334,6 @@ class TestPipelineClarkePark:
 
 def test_abc_series_matches_evaluate(step_scenario):
     series = abc_series(step_scenario, 100, 2.0)
-    assert series.frame_kind == "abc"
     assert series.coords.shape == (3, 201)
     probe = 73
     from locusframe import evaluate_scenario

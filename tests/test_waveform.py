@@ -204,7 +204,6 @@ def test_sample_angles_too_large(periods, count):
 def test_sample_series_counts_and_values(step_scenario):
     series = sample_series(step_scenario, 100, 2.0)
     assert len(series) == 201
-    assert series.frame_kind == "abc"
     expected = evaluate_scenario(step_scenario, np.array([series.angles[37]]))[:, 0]
     assert series.coords[:, 37] == pytest.approx(expected)
 
