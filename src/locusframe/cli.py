@@ -414,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # 3x3 products gain nothing from OpenBLAS's thread pool; a value already set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

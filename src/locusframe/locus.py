@@ -256,8 +256,8 @@ def basis_from_stream(series: TransformedSeries, t1_angle: float) -> tuple[Tripl
         )
     if t1_angle < angles[0] - 1e-12 or t2_angle > angles[-1] + 1e-12:
         raise MeasurementError(
-            f"series spans [{angles[0]:.6f}, {angles[-1]:.6f}] rad, "
-            f"estimation needs [{t1_angle:.6f}, {t2_angle:.6f}]"
+            f"series spans [{angles[0]:.6g}, {angles[-1]:.6g}] rad, "
+            f"estimation needs [{t1_angle:.6g}, {t2_angle:.6g}]"
         )
     return tuple(
         tuple(float(np.interp(angle, angles, channel)) for channel in series.coords)

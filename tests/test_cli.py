@@ -550,6 +550,18 @@ class TestMeasure:
         assert "estimation needs" in err
         assert not out_dir.exists()
 
+    def test_span_message_bounded(self, capsys, scenario_path, tmp_path):
+        # the angles print in %g form, so a huge --t1-angle stays one short line
+        out_dir = tmp_path / "new"
+        code, out, err = _run(
+            capsys,
+            ["measure", str(scenario_path), "--t1-angle", "1e300", "--out", str(out_dir)],
+        )
+        _assert_rejected(code, out, err, expected=4)
+        assert "estimation needs [1e+300, 1e+300]" in err
+        assert len(err) < 200
+        assert not out_dir.exists()
+
     def test_single_sample_series(self, capsys, scenario_path, tmp_path):
         out_dir = tmp_path / "new"
         argv = ["measure", str(scenario_path), "--rate", "64", "--periods", "1e-300"]
@@ -910,6 +922,72 @@ def test_csv_tables_built_on_first_write(scenario_path, tmp_path):
         ("V_dq0_classical.csv", "t,Vd,Vq,V0", dq0),
     ]:
         assert (tmp_path / name).read_bytes() == _percent_csv(header, series.angles, series.coords)
+
+
+def _env_with_blas_threads(threads):
+    """This environment with src on the path and OPENBLAS_NUM_THREADS set to
+    ``threads``, or removed when it is None; tests that call main in-process
+    leave the variable set in this process."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = _SRC
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+@pytest.mark.parametrize("threads, expected", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_blas_threads_default_to_one(scenario_path, tmp_path, threads, expected):
+    # main caps OpenBLAS at one thread before numpy loads, unless the variable is set
+    script = (
+        "import os, sys\n"
+        "from locusframe import cli\n"
+        "cli.main(['simulate', sys.argv[1], '--periods', '1', '--out', sys.argv[2]])\n"
+        "import numpy\n"
+        "words = [os.environ['OPENBLAS_NUM_THREADS']]\n"
+        "if os.path.isdir('/proc/self/task'):\n"
+        "    words.append(str(len(os.listdir('/proc/self/task'))))\n"
+        "print(*words)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(scenario_path), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_env_with_blas_threads(threads),
+        check=True,
+    )
+    words = done.stdout.splitlines()[-1].split()
+    assert words[0] == expected
+    if threads is None and len(words) > 1:
+        # no BLAS worker threads next to the main one
+        assert words[1] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--periods", "100"],
+        ["measure", "--periods", "100", "--noise", "0.01", "--seed", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_blas_threads_do_not_change_bytes(scenario_path, tmp_path, argv):
+    # 100 periods make the 3x3 products large enough for OpenBLAS to split them;
+    # each run writes into its own working directory, so stdout names the same paths
+    outputs = []
+    for threads in (None, "2"):
+        out_dir = tmp_path / f"threads-{threads}"
+        out_dir.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-m", "locusframe.cli", argv[0], str(scenario_path), *argv[1:]],
+            capture_output=True,
+            cwd=out_dir,
+            env=_env_with_blas_threads(threads),
+            check=True,
+        )
+        csvs = {path.name: path.read_bytes() for path in sorted(out_dir.glob("*.csv"))}
+        outputs.append((done.stdout, done.stderr, csvs))
+    assert outputs[0][2]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
