@@ -110,9 +110,15 @@ def orientation_label(orientation) -> str:
     return f"angle{millirad}"
 
 
+def _number(value: float, fixed: str = "%.6f", wide: str = "%.6e") -> str:
+    """``value`` in the ``fixed`` format, or in ``wide`` at a magnitude of 1e6 or more."""
+    return (wide if abs(value) >= 1e6 else fixed) % value
+
+
 def matrix_lines(matrix) -> list[str]:
-    """Rows of a 3x3 matrix, each entry sign-aligned with 3 decimals after a space."""
-    return ["".join(f" {entry:7.3f}" for entry in row) for row in matrix]
+    """Rows of a 3x3 matrix, each entry sign-aligned with 3 decimals after a space
+    (in e-notation at a magnitude of 1e6 or more)."""
+    return ["".join(" " + _number(entry, "%7.3f", "%.3e") for entry in row) for row in matrix]
 
 
 def _fixed_rows(rows: np.ndarray) -> bytes | None:
@@ -198,14 +204,14 @@ def _pick_segment(scenario, index_1based: int | None):
 
 def cmd_validate(args) -> int:
     scenario = waveform.load_scenario(args.scenario)
-    print(f"scenario: {scenario.frequency_hz:.6f} Hz, {len(scenario.segments)} segment(s)")
+    print(f"scenario: {_number(scenario.frequency_hz)} Hz, {len(scenario.segments)} segment(s)")
     for k, segment in enumerate(scenario.segments, start=1):
-        amps = " ".join(f"{a:.6f}" for a in segment.amplitudes)
+        amps = " ".join(_number(a) for a in segment.amplitudes)
         offs = " ".join(f"{math.degrees(p):.6f}" for p in segment.phase_offsets)
         metric, degenerate = _segment_degeneracy(segment)
         flag = "  [degenerate]" if degenerate else ""
         print(
-            f"  segment {k}: start {segment.start_angle / TWO_PI:.6f} periods, "
+            f"  segment {k}: start {_number(segment.start_angle / TWO_PI)} periods, "
             f"amplitudes {amps}, offsets_deg {offs}, degeneracy {metric:.6f}{flag}"
         )
     return 0
@@ -221,7 +227,7 @@ def cmd_matrix(args) -> int:
     print(f"theta_o = {frame.theta_o:.6f} rad")
     e1, e2, _ = basis.vectors
     print(
-        f"|e1| = {locus._norm(e1):.6f}  |e2| = {locus._norm(e2):.6f}  "
+        f"|e1| = {_number(locus._norm(e1))}  |e2| = {_number(locus._norm(e2))}  "
         f"degeneracy = {basis.degeneracy:.6f}"
     )
     print("forward:")

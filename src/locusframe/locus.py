@@ -15,13 +15,14 @@ independent of theta_o.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .waveform import (
     AMPLITUDE_MAX,
     ScenarioSegment,
     TransformedSeries,
     Triple,
+    _Frozen,
     total_phases,
     values_at,
     wrap_angle,
@@ -74,8 +75,7 @@ class MeasurementError(LocusError):
     too coarse or not covering the required angle window."""
 
 
-@dataclass(frozen=True)
-class NormProfile:
+class NormProfile(NamedTuple):
     """Coefficients of ||v(theta)||^2 = c_level - a_amplitude * sin(2*theta + psi)."""
 
     c_level: float
@@ -83,8 +83,7 @@ class NormProfile:
     psi: float
 
 
-@dataclass(frozen=True, init=False)
-class LocusBasis:
+class LocusBasis(_Frozen):
     """Locus-aligned basis: e1, e2 span the locus plane, e3 is the scaled normal.
 
     Built from e1, e2 (any three numbers each) and theta_o; e3 and
@@ -99,9 +98,7 @@ class LocusBasis:
     size.
     """
 
-    vectors: tuple[Triple, Triple, Triple]
-    theta_o: float
-    degeneracy: float
+    __slots__ = ("vectors", "theta_o", "degeneracy")
 
     def __init__(self, e1, e2, theta_o: float):
         x1, y1, z1 = e1

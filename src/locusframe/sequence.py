@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .waveform import ScenarioSegment, total_phases
 
@@ -21,8 +21,7 @@ class ZeroPositiveSequenceError(ZeroDivisionError):
     """Unbalance ratios are undefined when the positive sequence vanishes."""
 
 
-@dataclass(frozen=True)
-class PhasorTriple:
+class PhasorTriple(NamedTuple):
     """Complex phasors for phases a, b, c."""
 
     a: complex
@@ -30,8 +29,7 @@ class PhasorTriple:
     c: complex
 
 
-@dataclass(frozen=True)
-class SequenceComponents:
+class SequenceComponents(NamedTuple):
     """Zero, positive, and negative sequence phasors."""
 
     zero: complex

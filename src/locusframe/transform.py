@@ -10,8 +10,7 @@ comparison pipelines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .locus import LocusBasis, _cross, _norm
 from .waveform import TransformedSeries, Triple
@@ -26,8 +25,7 @@ if TYPE_CHECKING:
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class FrameTransform:
+class FrameTransform(NamedTuple):
     """A 3x3 forward map (abc -> frame) with its closed-form inverse.
 
     ``rows`` are the forward matrix's rows and ``columns`` the inverse's

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -39,8 +38,42 @@ def wrap_angle(angle: float) -> float:
     return math.pi - (math.pi - angle) % TWO_PI
 
 
-@dataclass(frozen=True)
-class ScenarioSegment:
+class _Frozen:
+    """Base of the records that check their inputs: the fields are ``__slots__``, set once
+    in ``__init__``.  Assignment and deletion raise AttributeError, ``==`` and hash go over
+    the fields of the same class only, and copy and pickle restore the fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    __getstate__ = _values
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class ScenarioSegment(_Frozen):
     """One piecewise-constant phasor regime of a three-phase signal.
 
     ``start_angle`` is the electrical angle (omega*t) at which the segment
@@ -48,42 +81,41 @@ class ScenarioSegment:
     shifts of phases b and c are added by :func:`evaluate`.
     """
 
-    start_angle: float
-    amplitudes: tuple[float, float, float]
-    phase_offsets: tuple[float, float, float]
+    __slots__ = ("start_angle", "amplitudes", "phase_offsets")
 
-    def __post_init__(self):
-        if len(self.amplitudes) != 3 or len(self.phase_offsets) != 3:
+    def __init__(self, start_angle, amplitudes, phase_offsets):
+        if len(amplitudes) != 3 or len(phase_offsets) != 3:
             raise ScenarioError("amplitudes and phase_offsets must each hold three values")
-        object.__setattr__(self, "start_angle", float(self.start_angle))
-        if not math.isfinite(self.start_angle):
-            raise ScenarioError(f"start angle must be finite, got {self.start_angle}")
-        if min(self.amplitudes) < 0.0:
-            raise ScenarioError(f"negative amplitude: {tuple(self.amplitudes)}")
-        if not all(a <= AMPLITUDE_MAX for a in self.amplitudes):
+        start_angle = float(start_angle)
+        if not math.isfinite(start_angle):
+            raise ScenarioError(f"start angle must be finite, got {start_angle}")
+        va, vb, vc = amplitudes
+        if min(va, vb, vc) < 0.0:
+            raise ScenarioError(f"negative amplitude: {tuple(amplitudes)}")
+        # each comparison is false for NaN
+        if not (va <= AMPLITUDE_MAX and vb <= AMPLITUDE_MAX and vc <= AMPLITUDE_MAX):
             raise ScenarioError(
-                f"amplitude not finite or above {AMPLITUDE_MAX:.0e}: {tuple(self.amplitudes)}"
+                f"amplitude not finite or above {AMPLITUDE_MAX:.0e}: {tuple(amplitudes)}"
             )
-        object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
-        if not all(math.isfinite(p) for p in self.phase_offsets):
-            raise ScenarioError(f"phase offset not finite: {tuple(self.phase_offsets)}")
+        pa, pb, pc = phase_offsets
+        if not (math.isfinite(pa) and math.isfinite(pb) and math.isfinite(pc)):
+            raise ScenarioError(f"phase offset not finite: {tuple(phase_offsets)}")
+        object.__setattr__(self, "start_angle", start_angle)
+        object.__setattr__(self, "amplitudes", (float(va), float(vb), float(vc)))
         # stored offsets live in (-pi, pi]
-        object.__setattr__(
-            self, "phase_offsets", tuple(wrap_angle(float(p)) for p in self.phase_offsets)
-        )
+        phase_offsets = wrap_angle(float(pa)), wrap_angle(float(pb)), wrap_angle(float(pc))
+        object.__setattr__(self, "phase_offsets", phase_offsets)
 
 
-@dataclass(frozen=True)
-class PhasorScenario:
+class PhasorScenario(_Frozen):
     """A fundamental frequency plus segments sorted by start angle."""
 
-    omega: float
-    segments: tuple[ScenarioSegment, ...]
+    __slots__ = ("omega", "segments")
 
-    def __post_init__(self):
-        if not 0.0 < self.omega < math.inf:
-            raise ScenarioError(f"omega must be positive and finite, got {self.omega}")
-        segments = tuple(self.segments)
+    def __init__(self, omega, segments):
+        if not 0.0 < omega < math.inf:
+            raise ScenarioError(f"omega must be positive and finite, got {omega}")
+        segments = tuple(segments)
         if not segments:
             raise ScenarioError("scenario needs at least one segment")
         if segments[0].start_angle != 0.0:
@@ -91,7 +123,7 @@ class PhasorScenario:
         starts = [s.start_angle for s in segments]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ScenarioError("segment start angles must be strictly increasing")
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", float(omega))
         object.__setattr__(self, "segments", segments)
 
     @property
@@ -99,21 +131,19 @@ class PhasorScenario:
         return self.omega / TWO_PI
 
 
-@dataclass(frozen=True)
-class TransformedSeries:
+class TransformedSeries(_Frozen):
     """A coordinate time series: angles (omega*t) and three channels.
 
     ``coords`` has shape (3, len(angles)); ``len(series)`` is the sample count.
     """
 
-    angles: np.ndarray
-    coords: np.ndarray
+    __slots__ = ("angles", "coords")
 
-    def __post_init__(self):
+    def __init__(self, angles, coords):
         import numpy as np
 
-        angles = np.asarray(self.angles, dtype=float)
-        coords = np.asarray(self.coords, dtype=float)
+        angles = np.asarray(angles, dtype=float)
+        coords = np.asarray(coords, dtype=float)
         if coords.shape != (3, angles.size):
             raise ValueError(f"coords shape {coords.shape} does not match {angles.size} angles")
         if not (np.all(np.isfinite(angles)) and np.all(np.diff(angles) > 0.0)):

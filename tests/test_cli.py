@@ -755,6 +755,30 @@ class TestFrameGate:
             assert (code, err) == (0, "")
             assert "nan" not in out and "inf" not in out
 
+    def test_large_values_print_in_e_notation(self, capsys, tmp_path):
+        # %.6f would print these as 30- to 50-digit numbers on lines of up to 311 characters
+        doc = _one_segment_doc((1e49, 2e49, 1.5e49), (0.0, 10.0, -20.0))
+        doc["frequency_hz"] = 1e40
+        doc["segments"].append(
+            {"start_periods": 1e30, "amplitudes_pu": [2e49, 5e48, 1e49],
+             "phase_offsets_deg": [5.0, 0.0, 40.0]}
+        )
+        path = _write_scenario(tmp_path, json.dumps(doc))
+        outputs = []
+        for argv in (
+            ["validate", str(path)],
+            ["matrix", str(path)],
+            ["matrix", str(path), "--segment", "2", "--orientation", "max-norm"],
+        ):
+            code, out, err = _run(capsys, argv)
+            assert (code, err) == (0, "")
+            assert max(len(line) for line in out.splitlines()) < 200
+            outputs.append(out)
+        assert "scenario: 1.000000e+40 Hz" in outputs[0]
+        assert "start 1.000000e+30 periods, amplitudes 2.000000e+49 5.000000e+48" in outputs[0]
+        assert "|e1| = 1.239257e+49  |e2| = 2.390448e+49" in outputs[1]
+        assert "\ninverse:\n 1.000e+49 " in outputs[1]
+
     def test_overflowing_noise_rejected(self, capsys, scenario_path, tmp_path):
         out_dir = tmp_path / "out"
         argv = ["measure", str(scenario_path), "--noise", "1e300", "--out", str(out_dir)]
@@ -990,6 +1014,25 @@ def test_blas_threads_do_not_change_bytes(scenario_path, tmp_path, argv):
     assert outputs[0] == outputs[1]
 
 
+def _importtime(args):
+    """(completed run, set of module names) of ``python -X importtime <args>``."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        check=True,
+    )
+    # "import time: <self> | <cumulative> | <indented module name>"
+    return done, {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+
+
+@pytest.fixture(scope="module")
+def interpreter_modules():
+    """Modules this interpreter imports for ``-c pass``, site hooks included."""
+    return _importtime(["-c", "pass"])[1]
+
+
 @pytest.mark.parametrize(
     "scenario, argv",
     [
@@ -1006,23 +1049,21 @@ def test_blas_threads_do_not_change_bytes(scenario_path, tmp_path, argv):
         ),
         # the [degenerate] branch, where the basis gate rejects the segment
         pytest.param("degenerate_scenario_path", ["validate"], id="validate degenerate"),
+        # what every locusframe process pays before its subcommand runs
+        pytest.param(None, None, id="import locusframe.cli"),
     ],
 )
-def test_validate_and_matrix_import_no_numpy(request, scenario, argv):
-    path = request.getfixturevalue(scenario)
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "locusframe.cli",
-         argv[0], str(path), *argv[1:]],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": _SRC},
-        check=True,
-    )
+def test_validate_and_matrix_import_no_numpy(request, interpreter_modules, scenario, argv):
+    if scenario is None:
+        done, imported = _importtime(["-c", "import locusframe.cli"])
+    else:
+        path = request.getfixturevalue(scenario)
+        done, imported = _importtime(["-m", "locusframe.cli", argv[0], str(path), *argv[1:]])
     assert ("[degenerate]" in done.stdout) == (scenario == "degenerate_scenario_path")
-    # "import time: <self> | <cumulative> | <indented module name>"
-    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
     assert "locusframe.transform" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+    # dataclasses would bring inspect, ast, dis and tokenize into every process
+    assert not {"dataclasses", "inspect"} & (imported - interpreter_modules)
 
 
 def _golden_runs():

@@ -1,20 +1,28 @@
 """Signal model: segments, scenarios, evaluation, sampling, parsing."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from locusframe import (
     PhasorScenario,
+    PhasorTriple,
     ScenarioError,
     ScenarioSegment,
+    assemble,
+    build_basis,
     evaluate,
     evaluate_scenario,
+    fortescue,
     load_scenario,
+    norm_profile,
     parse_scenario,
     sample_series,
     segment_at,
+    to_phasors,
     total_phases,
     wrap_angle,
 )
@@ -64,9 +72,57 @@ class TestScenarioSegment:
             support.UNBALANCED_OFFSETS
         )
 
-    def test_frozen(self, unbalanced_segment):
-        with pytest.raises(AttributeError):
-            unbalanced_segment.start_angle = 1.0
+    def test_repr(self):
+        # the text a frozen dataclass printed
+        segment = ScenarioSegment(0, (1, 2, 3), (0.5, 0, 0))
+        assert repr(segment) == (
+            "ScenarioSegment(start_angle=0.0, amplitudes=(1.0, 2.0, 3.0), "
+            "phase_offsets=(0.5, 0.0, 0.0))"
+        )
+
+
+def _records():
+    """(field name, one value) of each of the eight record types, by type name."""
+    segment = support.unbalanced_segment()
+    phasors = to_phasors(segment)
+    basis = build_basis(segment)
+    return {
+        "ScenarioSegment": ("start_angle", segment),
+        "PhasorScenario": ("omega", PhasorScenario(100.0 * math.pi, (segment,))),
+        "TransformedSeries": ("angles", sample_series(PhasorScenario(1.0, (segment,)), 8)),
+        "LocusBasis": ("theta_o", basis),
+        "NormProfile": ("psi", norm_profile(segment)),
+        "FrameTransform": ("theta_o", assemble(basis)),
+        "PhasorTriple": ("a", phasors),
+        "SequenceComponents": ("zero", fortescue(phasors)),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_records()))
+def test_record_frozen_and_copyable(kind):
+    field, record = _records()[kind]
+    assert type(record).__name__ == kind
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    copies = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    for twin in copies:
+        assert type(twin) is type(record)
+        assert repr(twin) == repr(record)
+        if kind == "TransformedSeries":
+            # == on two series compares arrays, which has no single truth value
+            np.testing.assert_array_equal(twin.angles, record.angles)
+            np.testing.assert_array_equal(twin.coords, record.coords)
+        else:
+            assert twin == record
+            assert hash(twin) == hash(record)
+
+
+def test_phasor_triple_repr_and_tuple_equality():
+    # the dataclass text; as a named tuple it equals any tuple of the same fields
+    assert repr(PhasorTriple(1, 2, 3)) == "PhasorTriple(a=1, b=2, c=3)"
+    assert PhasorTriple(1, 2, 3) == (1, 2, 3)
 
 
 class TestPhasorScenario:
