@@ -225,11 +225,8 @@ def cmd_matrix(args) -> int:
     suffix = ", normalized" if args.normalized else ""
     print(f"segment {index + 1}, orientation {orientation_label(args.orientation)}{suffix}")
     print(f"theta_o = {frame.theta_o:.6f} rad")
-    e1, e2, _ = basis.vectors
-    print(
-        f"|e1| = {_number(locus._norm(e1))}  |e2| = {_number(locus._norm(e2))}  "
-        f"degeneracy = {basis.degeneracy:.6f}"
-    )
+    n1, n2 = basis.norms
+    print(f"|e1| = {_number(n1)}  |e2| = {_number(n2)}  degeneracy = {basis.degeneracy:.6f}")
     print("forward:")
     for line in matrix_lines(frame.rows):
         print(line)
@@ -297,11 +294,9 @@ def cmd_measure(args) -> int:
     e1, e2 = locus.basis_from_stream(series, args.t1_angle)
     measured = transform.assemble(locus.basis_from_vectors(e1, e2, args.t1_angle))
 
-    exact = [
-        waveform.values_at(waveform.segment_at(scenario, t), t)
-        for t in (args.t1_angle, args.t1_angle + 0.5 * math.pi)
-    ]
-    analytic = transform.assemble(locus.basis_from_vectors(*exact, args.t1_angle))
+    # the reference probes come from the kernel that made the samples
+    exact = waveform.evaluate_scenario(scenario, [args.t1_angle, args.t1_angle + 0.5 * math.pi])
+    analytic = transform.assemble(locus.basis_from_vectors(*exact.T, args.t1_angle))
     deviation = float(np.max(np.abs(measured.forward - analytic.forward)))
 
     # only now: a rejected measurement leaves no directory
@@ -310,8 +305,8 @@ def cmd_measure(args) -> int:
     write_series_csv(path, series, "t,Va,Vb,Vc")
 
     print(f"samples per period: {args.rate}")
-    print(f"t1 angle: {args.t1_angle:.6f} rad")
-    print(f"noise sigma: {args.noise:.6f} (seed {args.seed})")
+    print(f"t1 angle: {_number(args.t1_angle)} rad")
+    print(f"noise sigma: {_number(args.noise)} (seed {args.seed})")
     print(f"wrote {path}")
     print(f"max forward deviation: {deviation:.6e}")
     return 0
@@ -425,15 +420,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, OSError) as exc:
+    except (ScenarioError, OSError, locus.LocusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except locus.MeasurementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except locus.LocusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, locus.MeasurementError):
+            return 4
+        return 3 if isinstance(exc, locus.LocusError) else 2
 
 
 if __name__ == "__main__":

@@ -86,9 +86,10 @@ class NormProfile(NamedTuple):
 class LocusBasis(_Frozen):
     """Locus-aligned basis: e1, e2 span the locus plane, e3 is the scaled normal.
 
-    Built from e1, e2 (any three numbers each) and theta_o; e3 and
+    Built from e1, e2 (any three numbers each) and theta_o; e3, ``norms`` and
     ``degeneracy`` are derived.  ``vectors`` holds (e1, e2, e3) as float
-    triples.  ``degeneracy`` is ||e1 x e2|| / (||e1|| ||e2||) clipped to 1, or
+    triples and ``norms`` (||e1||, ||e2||), the norms the gate measured.
+    ``degeneracy`` is ||e1 x e2|| / (||e1|| ||e2||) clipped to 1, or
     0 when either norm is at most DEGENERACY_ATOL; it is never below g.
     Raises LocusError on a component that is not finite or above
     AMPLITUDE_MAX, and DegenerateLocusError unless both norms exceed
@@ -98,7 +99,7 @@ class LocusBasis(_Frozen):
     size.
     """
 
-    __slots__ = ("vectors", "theta_o", "degeneracy")
+    __slots__ = ("vectors", "theta_o", "degeneracy", "norms")
 
     def __init__(self, e1, e2, theta_o: float):
         x1, y1, z1 = e1
@@ -132,6 +133,7 @@ class LocusBasis(_Frozen):
         object.__setattr__(self, "vectors", (e1, e2, e3))
         object.__setattr__(self, "theta_o", theta_o)
         object.__setattr__(self, "degeneracy", degeneracy)
+        object.__setattr__(self, "norms", (n1, n2))
 
 
 def basis_vectors(segment: ScenarioSegment, theta_o: float) -> tuple[Triple, Triple]:

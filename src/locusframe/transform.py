@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .locus import LocusBasis, _cross, _norm
+from .locus import LocusBasis, _cross
 from .waveform import TransformedSeries, Triple
 
 # not called in this module, but benchmark/tracer.py wraps these three names here
@@ -64,7 +64,7 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
     """
     e1, e2, e3 = basis.vectors
     if normalized:
-        n1, n2 = _norm(e1), _norm(e2)
+        n1, n2 = basis.norms
         (x1, y1, z1), (x2, y2, z2) = e1, e2
         e1 = (x1 / n1, y1 / n1, z1 / n1)
         e2 = (x2 / n2, y2 / n2, z2 / n2)

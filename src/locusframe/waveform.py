@@ -138,6 +138,8 @@ class TransformedSeries(_Frozen):
     """
 
     __slots__ = ("angles", "coords")
+    # by identity: the fields are arrays, whose == has no single truth value
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, angles, coords):
         import numpy as np
@@ -165,7 +167,9 @@ def total_phases(segment: ScenarioSegment) -> Triple:
 def values_at(segment: ScenarioSegment, angle: float) -> Triple:
     """(v_a, v_b, v_c) of a segment at one electrical angle, as floats.
 
-    v_k = V_k cos(angle + phi_k + s_k) with s = (0, -2pi/3, +2pi/3).
+    v_k = V_k cos(angle + phi_k + s_k) with s = (0, -2pi/3, +2pi/3), from
+    ``math.cos``: the per-segment kernel of the basis vectors, which runs
+    without numpy.  Sampled values come from :func:`evaluate_scenario`.
     """
     va, vb, vc = segment.amplitudes
     qa, qb, qc = total_phases(segment)
@@ -175,18 +179,18 @@ def values_at(segment: ScenarioSegment, angle: float) -> Triple:
 def evaluate(segment: ScenarioSegment, angle) -> np.ndarray:
     """Instantaneous (v_a, v_b, v_c) of a segment at electrical angle ``angle``.
 
-    ``angle`` may be a scalar, giving :func:`values_at` as an array, or a 1-D
-    array; for arrays the phase axis comes first and the result has shape
-    (3, n).
+    ``angle`` may be a scalar, giving shape (3,), or a 1-D array, giving
+    shape (3, n) with the phase axis first.  Both take numpy's cosine, as
+    :func:`evaluate_scenario` does, so they agree with it bit for bit.
     """
     import numpy as np
 
     theta = np.asarray(angle, dtype=float)
-    if theta.ndim == 0:
-        return np.array(values_at(segment, float(theta)))
     amps = np.asarray(segment.amplitudes)
     phases = np.asarray(total_phases(segment))
-    return amps[:, np.newaxis] * np.cos(theta[np.newaxis, :] + phases[:, np.newaxis])
+    if theta.ndim:
+        amps, phases = amps[:, np.newaxis], phases[:, np.newaxis]
+    return amps * np.cos(theta + phases)
 
 
 def segment_at(scenario: PhasorScenario, angle: float) -> ScenarioSegment:

@@ -609,6 +609,23 @@ class TestMeasure:
         assert code == 0
         assert out.splitlines()[-1] == line
 
+    def test_reference_from_the_sampling_kernel(self, capsys, scenario_path, tmp_path, monkeypatch):
+        # math.cos one ulp high: samples and reference both take numpy's cosine,
+        # so a noiseless estimate on the grid still reads exactly 0
+        cos = math.cos
+        monkeypatch.setattr(math, "cos", lambda x: math.nextafter(cos(x), math.inf))
+        code, out, _ = _run(capsys, ["measure", str(scenario_path), "--out", str(tmp_path)])
+        assert code == 0
+        assert out.splitlines()[-1] == "max forward deviation: 0.000000e+00"
+
+    def test_huge_sigma_prints_in_e_notation(self, capsys, scenario_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = _run(capsys, ["measure", str(scenario_path), "--noise", "1e45"])
+        assert code == 0
+        lines = out.splitlines()
+        assert "noise sigma: 1.000000e+45 (seed 0)" in lines
+        assert max(len(line) for line in lines) <= 100
+
     def test_noise_worsens_estimate(self, capsys, scenario_path, tmp_path):
         clean_argv = ["measure", str(scenario_path), "--t1-angle", "0.3", "--out", str(tmp_path)]
         _, clean_out, _ = _run(capsys, clean_argv)
@@ -651,7 +668,7 @@ class TestMeasure:
     @pytest.mark.parametrize("t1", ["-1e-13", "-0.001"])
     def test_negative_t1_rejected(self, capsys, scenario_path, tmp_path, t1):
         # one rule below zero, before sampling: neither the span check's slack
-        # nor the analytic probe's segment_at decides
+        # nor the analytic probe's evaluate_scenario decides
         out_dir = tmp_path / "new"
         argv = ["measure", str(scenario_path), f"--t1-angle={t1}", "--out", str(out_dir)]
         code, out, err = _run(capsys, argv)

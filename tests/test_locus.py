@@ -208,6 +208,15 @@ def test_scalar_kernels_bit_identical_to_numpy_formulas():
         assert basis.degeneracy == degeneracy == support.cross_share(e1, e2)
 
 
+def test_norms_are_the_gate_norms():
+    # the one source of |e1| and |e2|, read by assemble(normalized=True) and matrix
+    for segment in support.exact_check_segments():
+        for orientation in (PHASE_A_PEAK, MAX_NORM, 0.37):
+            basis = build_basis(segment, orientation)
+            e1, e2, _ = basis.vectors
+            assert basis.norms == tuple(math.sqrt(x * x + y * y + z * z) for x, y, z in (e1, e2))
+
+
 class TestThetaPhaseAPeak:
     def test_reference_value(self, unbalanced_segment):
         assert theta_phase_a_peak(unbalanced_segment) == pytest.approx(

@@ -156,6 +156,8 @@ class TestAssemble:
             LocusBasis(e1=e1, e2=e2, e3=e1 + e2, theta_o=0.0)
         with pytest.raises(TypeError):
             LocusBasis(e1=e1, e2=e2, theta_o=0.0, degeneracy=1.0)
+        with pytest.raises(TypeError):
+            LocusBasis(e1=e1, e2=e2, theta_o=0.0, norms=(1.0, 1.0))
         basis = LocusBasis(e1, e2, 0.0)
         assert basis.vectors[2] == pytest.approx([0.0, 0.0, math.sqrt(3.0)])
         assert assemble(basis).det_inverse == pytest.approx(math.sqrt(3.0))

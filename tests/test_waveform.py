@@ -90,7 +90,7 @@ def _records():
         "ScenarioSegment": ("start_angle", segment),
         "PhasorScenario": ("omega", PhasorScenario(100.0 * math.pi, (segment,))),
         "TransformedSeries": ("angles", sample_series(PhasorScenario(1.0, (segment,)), 8)),
-        "LocusBasis": ("theta_o", basis),
+        "LocusBasis": ("norms", basis),
         "NormProfile": ("psi", norm_profile(segment)),
         "FrameTransform": ("theta_o", assemble(basis)),
         "PhasorTriple": ("a", phasors),
@@ -111,12 +111,22 @@ def test_record_frozen_and_copyable(kind):
         assert type(twin) is type(record)
         assert repr(twin) == repr(record)
         if kind == "TransformedSeries":
-            # == on two series compares arrays, which has no single truth value
+            # a series compares by identity, so its copies compare by their arrays
             np.testing.assert_array_equal(twin.angles, record.angles)
             np.testing.assert_array_equal(twin.coords, record.coords)
         else:
             assert twin == record
             assert hash(twin) == hash(record)
+
+
+def test_series_compares_by_identity():
+    # its fields are arrays, whose == has no single truth value
+    scenario = PhasorScenario(1.0, (support.unbalanced_segment(),))
+    series, twin = sample_series(scenario, 8), sample_series(scenario, 8)
+    assert (series == twin) is False
+    assert (series != twin) is True
+    assert (series == series) is True
+    assert hash(series) == hash(series) != hash(twin)
 
 
 def test_phasor_triple_repr_and_tuple_equality():
@@ -222,6 +232,16 @@ def test_evaluate_scenario_bit_identical_to_per_sample_evaluate():
     assert block.shape == (3, angles.size)
     for i, angle in enumerate(angles):
         assert np.array_equal(block[:, i], evaluate(segment_at(scenario, angle), angle))
+
+
+def test_scalar_evaluate_takes_the_sampling_kernel(monkeypatch, step_scenario):
+    # math.cos one ulp high changes neither: both take numpy's cosine
+    cos = math.cos
+    monkeypatch.setattr(math, "cos", lambda x: math.nextafter(cos(x), math.inf))
+    angles = np.array([0.0, 0.5 * math.pi, 1.0, TWO_PI, TWO_PI + 0.3, 5.5 + 0.5 * math.pi])
+    block = evaluate_scenario(step_scenario, angles)
+    for i, angle in enumerate(angles):
+        assert np.array_equal(evaluate(segment_at(step_scenario, angle), angle), block[:, i])
 
 
 def test_evaluate_scenario_rejects_negative_angles(step_scenario):
