@@ -217,22 +217,35 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _frame(args, scenario, index: int):
+    """(basis, frame) of segment ``index`` under --orientation and --normalized."""
+    basis = locus.build_basis(scenario.segments[index], args.orientation)
+    return basis, transform.assemble(basis, normalized=args.normalized)
+
+
+def _write(out, outputs, report=()) -> None:
+    """Write each ``(name, header, series)`` of ``outputs`` as a CSV in ``out``, then print
+    ``wrote <path>``, the first one after the ``report`` lines.  Called after every
+    computation, so a rejected run leaves no directory and prints nothing."""
+    os.makedirs(out, exist_ok=True)
+    for name, header, series in outputs:
+        path = os.path.join(out, name)
+        write_series_csv(path, series, header)
+        print(*report, f"wrote {path}", sep="\n")
+        report = ()
+
+
 def cmd_matrix(args) -> int:
     scenario = waveform.load_scenario(args.scenario)
     index = _pick_segment(scenario, args.segment)
-    basis = locus.build_basis(scenario.segments[index], args.orientation)
-    frame = transform.assemble(basis, normalized=args.normalized)
+    basis, frame = _frame(args, scenario, index)
     suffix = ", normalized" if args.normalized else ""
     print(f"segment {index + 1}, orientation {orientation_label(args.orientation)}{suffix}")
     print(f"theta_o = {frame.theta_o:.6f} rad")
     n1, n2 = basis.norms
     print(f"|e1| = {_number(n1)}  |e2| = {_number(n2)}  degeneracy = {basis.degeneracy:.6f}")
-    print("forward:")
-    for line in matrix_lines(frame.rows):
-        print(line)
-    print("inverse:")
-    for line in matrix_lines(zip(*frame.columns)):
-        print(line)
+    for title, rows in (("forward:", frame.rows), ("inverse:", zip(*frame.columns))):
+        print(title, *matrix_lines(rows), sep="\n")
     return 0
 
 
@@ -249,8 +262,7 @@ def cmd_simulate(args) -> int:
     if "abc" in args.frames:
         outputs.append(("V_abc.csv", "t,Va,Vb,Vc", abc))
     if "locus123" in args.frames or "dq0" in args.frames:
-        basis = locus.build_basis(scenario.segments[index], args.orientation)
-        frame = transform.assemble(basis, normalized=args.normalized)
+        _, frame = _frame(args, scenario, index)
         series123, dq0 = transform.pipeline_locus(abc, frame)
         label = orientation_label(args.orientation)
         if "locus123" in args.frames:
@@ -263,12 +275,7 @@ def cmd_simulate(args) -> int:
         if "dq0" in args.frames:
             outputs.append(("V_dq0_clarke.csv", "t,Vd,Vq,V0", clarke_dq0))
 
-    # only now: a rejected grid or a degenerate basis leaves no directory
-    os.makedirs(args.out, exist_ok=True)
-    for name, header, series in outputs:
-        path = os.path.join(args.out, name)
-        write_series_csv(path, series, header)
-        print(f"wrote {path}")
+    _write(args.out, outputs)
     return 0
 
 
@@ -299,15 +306,12 @@ def cmd_measure(args) -> int:
     analytic = transform.assemble(locus.basis_from_vectors(*exact.T, args.t1_angle))
     deviation = float(np.max(np.abs(measured.forward - analytic.forward)))
 
-    # only now: a rejected measurement leaves no directory
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "V_abc_measured.csv")
-    write_series_csv(path, series, "t,Va,Vb,Vc")
-
-    print(f"samples per period: {args.rate}")
-    print(f"t1 angle: {_number(args.t1_angle)} rad")
-    print(f"noise sigma: {_number(args.noise)} (seed {args.seed})")
-    print(f"wrote {path}")
+    report = (
+        f"samples per period: {args.rate}",
+        f"t1 angle: {_number(args.t1_angle)} rad",
+        f"noise sigma: {_number(args.noise)} (seed {args.seed})",
+    )
+    _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc", series)], report)
     print(f"max forward deviation: {deviation:.6e}")
     return 0
 
@@ -320,6 +324,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _subcommand(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
+    """The subparser ``name``: it takes a scenario file and runs ``func``."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("scenario", help="scenario JSON file")
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _frame_options(parser, segment, segment_help: str) -> None:
+    """--orientation, --segment and --normalized, as matrix and simulate read them;
+    ``segment`` is the --segment default, None for the last segment."""
+    parser.add_argument(
+        "--orientation",
+        type=parse_orientation,
+        default=PHASE_A_PEAK,
+        help="phase-a-peak, max-norm, or angle:<radians> (default phase-a-peak)",
+    )
+    parser.add_argument("--segment", type=int, default=segment, help=segment_help)
+    parser.add_argument(
+        "--normalized",
+        action="store_true",
+        help="rescale the in-plane basis vectors to unit norm",
+    )
+
+
+def _sampling_options(parser, periods, periods_help: str, *own) -> None:
+    """--rate, --periods and --out, as simulate and measure read them; ``periods`` is
+    the --periods default, None to cover every segment plus one period.  ``own``
+    holds (flag, keywords) pairs of the subcommand's other options, declared between
+    --rate and --periods, where measure's usage and help list them."""
+    parser.add_argument("--rate", type=int, default=1000, help="samples per period (default 1000)")
+    for flag, keywords in own:
+        parser.add_argument(flag, **keywords)
+    parser.add_argument("--periods", type=float, default=periods, help=periods_help)
+    parser.add_argument("--out", default=".", help="output directory (default .)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="locusframe",
@@ -327,90 +368,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_validate = sub.add_parser("validate", help="parse and summarize a scenario file")
-    p_validate.add_argument("scenario", help="scenario JSON file")
-    p_validate.set_defaults(func=cmd_validate)
+    _subcommand(sub, "validate", "parse and summarize a scenario file", cmd_validate)
 
-    p_matrix = sub.add_parser("matrix", help="print the frame matrices for one segment")
-    p_matrix.add_argument("scenario", help="scenario JSON file")
-    p_matrix.add_argument(
-        "--orientation",
-        type=parse_orientation,
-        default=PHASE_A_PEAK,
-        help="phase-a-peak, max-norm, or angle:<radians> (default phase-a-peak)",
-    )
-    p_matrix.add_argument(
-        "--segment", type=int, default=1, help="1-based segment index (default 1)"
-    )
-    p_matrix.add_argument(
-        "--normalized",
-        action="store_true",
-        help="rescale the in-plane basis vectors to unit norm",
-    )
-    p_matrix.set_defaults(func=cmd_matrix)
+    p_matrix = _subcommand(sub, "matrix", "print the frame matrices for one segment", cmd_matrix)
+    _frame_options(p_matrix, 1, "1-based segment index (default 1)")
 
-    p_simulate = sub.add_parser("simulate", help="run the pipelines and write CSV files")
-    p_simulate.add_argument("scenario", help="scenario JSON file")
+    p_simulate = _subcommand(sub, "simulate", "run the pipelines and write CSV files", cmd_simulate)
     p_simulate.add_argument(
         "--frames",
         type=parse_frames,
         default=list(SIMULATE_FRAMES),
         help="comma-separated subset of abc,locus123,clarke,dq0 (default all)",
     )
-    p_simulate.add_argument(
-        "--orientation", type=parse_orientation, default=PHASE_A_PEAK,
-        help="orientation for the locus frame (default phase-a-peak)",
+    _frame_options(
+        p_simulate, None, "1-based index of the segment the basis is built from (default: last)"
     )
-    p_simulate.add_argument(
-        "--segment",
-        type=int,
-        default=None,
-        help="1-based index of the segment the basis is built from (default: last)",
+    _sampling_options(
+        p_simulate, None, "periods to simulate (default: cover every segment plus one period)"
     )
-    p_simulate.add_argument(
-        "--normalized", action="store_true",
-        help="rescale the in-plane basis vectors to unit norm",
-    )
-    p_simulate.add_argument(
-        "--rate", type=int, default=1000, help="samples per period (default 1000)"
-    )
-    p_simulate.add_argument(
-        "--periods",
-        type=float,
-        default=None,
-        help="periods to simulate (default: cover every segment plus one period)",
-    )
-    p_simulate.add_argument("--out", default=".", help="output directory (default .)")
-    p_simulate.set_defaults(func=cmd_simulate)
 
-    p_measure = sub.add_parser(
-        "measure", help="estimate the frame matrix from sampled data"
+    p_measure = _subcommand(
+        sub, "measure", "estimate the frame matrix from sampled data", cmd_measure
     )
-    p_measure.add_argument("scenario", help="scenario JSON file")
-    p_measure.add_argument(
-        "--rate", type=int, default=1000, help="samples per period (default 1000)"
+    t1_help = "angle of the first basis measurement in radians (default 0)"
+    noise_help = "Gaussian noise standard deviation, per unit (default 0)"
+    _sampling_options(
+        p_measure,
+        1.0,
+        "periods to sample (default 1)",
+        ("--t1-angle", dict(type=float, default=0.0, help=t1_help)),
+        ("--noise", dict(type=float, default=0.0, help=noise_help)),
+        ("--seed", dict(type=int, default=0, help="noise generator seed (default 0)")),
     )
-    p_measure.add_argument(
-        "--t1-angle",
-        type=float,
-        default=0.0,
-        dest="t1_angle",
-        help="angle of the first basis measurement in radians (default 0)",
-    )
-    p_measure.add_argument(
-        "--noise", type=float, default=0.0,
-        help="Gaussian noise standard deviation, per unit (default 0)",
-    )
-    p_measure.add_argument(
-        "--seed", type=int, default=0, help="noise generator seed (default 0)"
-    )
-    p_measure.add_argument(
-        "--periods", type=float, default=1.0,
-        help="periods to sample (default 1)",
-    )
-    p_measure.add_argument("--out", default=".", help="output directory (default .)")
-    p_measure.set_defaults(func=cmd_measure)
-
     return parser
 
 

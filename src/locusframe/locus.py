@@ -92,11 +92,11 @@ class LocusBasis(_Frozen):
     ``degeneracy`` is ||e1 x e2|| / (||e1|| ||e2||) clipped to 1, or
     0 when either norm is at most DEGENERACY_ATOL; it is never below g.
     Raises LocusError on a component that is not finite or above
-    AMPLITUDE_MAX, and DegenerateLocusError unless both norms exceed
+    AMPLITUDE_MAX, then DegenerateLocusError unless both norms exceed
     DEGENERACY_ATOL and g = 2||e1 x e2|| / (||e1||^2 + ||e2||^2) exceeds
-    DEGENERACY_RTOL; g is 2ab/(a^2 + b^2) for the ellipse's semi-axes a, b at
-    every orientation, and cond([e1 e2 e3]) is about 2/g for a locus of unit
-    size.
+    DEGENERACY_RTOL, then LocusError on a theta_o that is not finite; g is
+    2ab/(a^2 + b^2) for the ellipse's semi-axes a, b at every orientation,
+    and cond([e1 e2 e3]) is about 2/g for a locus of unit size.
     """
 
     __slots__ = ("vectors", "theta_o", "degeneracy", "norms")
@@ -128,6 +128,8 @@ class LocusBasis(_Frozen):
                 f"with |e1| = {n1:.3e}, |e2| = {n2:.3e}",
                 degeneracy,
             )
+        if not math.isfinite(theta_o):
+            raise LocusError(f"orientation angle not finite: theta_o = {theta_o}")
         scale = _NORMAL_SCALE
         e3 = (scale * cx / cross_norm, scale * cy / cross_norm, scale * cz / cross_norm)
         object.__setattr__(self, "vectors", (e1, e2, e3))
@@ -253,7 +255,8 @@ def basis_from_stream(series: TransformedSeries, t1_angle: float) -> tuple[Tripl
         raise MeasurementError(
             f"{rate:.1f} samples per period; need at least {MIN_STREAM_RATE}"
         )
-    if t1_angle < angles[0] - 1e-12 or t2_angle > angles[-1] + 1e-12:
+    # false for a NaN angle too
+    if not (angles[0] - 1e-12 <= t1_angle and t2_angle <= angles[-1] + 1e-12):
         raise MeasurementError(
             f"series spans [{angles[0]:.6g}, {angles[-1]:.6g}] rad, "
             f"estimation needs [{t1_angle:.6g}, {t2_angle:.6g}]"

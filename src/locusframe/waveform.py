@@ -197,10 +197,12 @@ def segment_at(scenario: PhasorScenario, angle: float) -> ScenarioSegment:
     """The segment active at ``angle``: largest start_angle <= angle.
 
     Boundaries are closed on the left, so a switch angle belongs to the newer
-    segment.
+    segment.  A negative or non-finite angle raises ScenarioError.
     """
     if angle < 0.0:
         raise ScenarioError(f"angle must be >= 0, got {angle}")
+    if not math.isfinite(angle):
+        raise ScenarioError(f"angle must be finite, got {angle}")
     starts = [s.start_angle for s in scenario.segments]
     return scenario.segments[bisect_right(starts, angle) - 1]
 
@@ -209,14 +211,17 @@ def evaluate_scenario(scenario: PhasorScenario, angles) -> np.ndarray:
     """Evaluate a scenario on an angle grid, honoring segment switches.
 
     Returns an array of shape (3, len(angles)), bit-identical to
-    :func:`evaluate` on each sample's active segment.  Negative angles raise
-    ScenarioError, as in :func:`segment_at`.
+    :func:`evaluate` on each sample's active segment.  Negative or non-finite
+    angles raise ScenarioError, as in :func:`segment_at`.
     """
     import numpy as np
 
     angles = np.asarray(angles, dtype=float)
     if angles.size and angles.min() < 0.0:
         raise ScenarioError(f"angles must be >= 0, got {angles.min()}")
+    # the max is NaN when any angle is
+    if angles.size and not angles.max() < math.inf:
+        raise ScenarioError(f"angles must be finite, got {angles.max()}")
     segments = scenario.segments
     starts = np.array([s.start_angle for s in segments])
     index = np.searchsorted(starts, angles, side="right") - 1

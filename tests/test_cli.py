@@ -34,6 +34,7 @@ from locusframe.locus import DEGENERACY_RTOL
 from locusframe.waveform import AMPLITUDE_MAX
 from locusframe.cli import (
     _CSV_BLOCK_ROWS,
+    build_parser,
     main,
     matrix_lines,
     orientation_label,
@@ -878,11 +879,48 @@ def test_missing_argument_is_one_error_line(capsys, argv):
     assert "required" in err
 
 
-def test_help_still_prints_usage(capsys):
+@pytest.mark.parametrize("subcommand", ["validate", "matrix", "simulate", "measure"])
+def test_help_still_prints_usage(capsys, subcommand):
     with pytest.raises(SystemExit) as excinfo:
-        main(["simulate", "--help"])
+        main([subcommand, "--help"])
     assert excinfo.value.code == 0
-    assert capsys.readouterr().out.startswith("usage:")
+    assert capsys.readouterr().out.startswith(f"usage: locusframe {subcommand} ")
+
+
+def _parsed(argv, names):
+    """{name: (value, type)} of the options ``names`` as build_parser parses ``argv``."""
+    args = build_parser().parse_args(argv)
+    return {name: (getattr(args, name), type(getattr(args, name))) for name in names}
+
+
+def test_shared_options_parse_alike():
+    frame_names = ("orientation", "segment", "normalized")
+    sampling_names = ("rate", "periods", "out")
+    frame = ["--orientation", "angle:0.4", "--segment", "2", "--normalized"]
+    sampling = ["--rate", "64", "--periods", "2", "--out", "d"]
+    expected = {"orientation": (0.4, float), "segment": (2, int), "normalized": (True, bool)}
+    for subcommand in ("matrix", "simulate"):
+        assert _parsed([subcommand, "s.json", *frame], frame_names) == expected
+    expected = {"rate": (64, int), "periods": (2.0, float), "out": ("d", str)}
+    for subcommand in ("simulate", "measure"):
+        assert _parsed([subcommand, "s.json", *sampling], sampling_names) == expected
+    # the defaults agree but for --segment (matrix 1, simulate the last) and --periods
+    # (measure 1, simulate every segment plus one period)
+    frame = {"orientation": (PHASE_A_PEAK, str), "normalized": (False, bool)}
+    sampling = {"rate": (1000, int), "out": (".", str)}
+    none = (None, type(None))
+    assert _parsed(["matrix", "s.json"], frame_names) == {**frame, "segment": (1, int)}
+    assert _parsed(["simulate", "s.json"], frame_names + sampling_names) == {
+        **frame, **sampling, "segment": none, "periods": none
+    }
+    assert _parsed(["measure", "s.json"], sampling_names) == {**sampling, "periods": (1.0, float)}
+
+
+def test_failed_write_prints_nothing(capsys, scenario_path, tmp_path):
+    # measure's report lines come out only with its CSV's "wrote" line
+    (tmp_path / "V_abc_measured.csv").mkdir()
+    code, out, err = _run(capsys, ["measure", str(scenario_path), "--out", str(tmp_path)])
+    _assert_rejected(code, out, err)
 
 
 _STOCK_DOC = _one_segment_doc((0.7, 1.0, 0.4), (-70.0, -10.0, -90.0))
@@ -1062,6 +1100,9 @@ def interpreter_modules():
                     ["matrix", "--orientation", orientation, "--normalized", "--segment", "2"]
                     for orientation in ("phase-a-peak", "max-norm", "angle:0.4")
                 ),
+                # the parsers built from the shared option helpers
+                ["simulate", "--help"],
+                ["measure", "--help"],
             ]
         ),
         # the [degenerate] branch, where the basis gate rejects the segment

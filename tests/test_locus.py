@@ -27,7 +27,7 @@ from locusframe import (
     theta_phase_a_peak,
     wrap_angle,
 )
-from locusframe.locus import DEGENERACY_ATOL, DEGENERACY_RTOL
+from locusframe.locus import DEGENERACY_ATOL, DEGENERACY_RTOL, LocusBasis
 from locusframe.waveform import PhasorScenario, TWO_PI, values_at
 
 import support
@@ -199,6 +199,20 @@ def test_component_gate(position, value):
     pair[position // 3][position % 3] = value
     with pytest.raises(LocusError, match="not finite or above"):
         basis_from_vectors(*pair, 0.0)
+
+
+@pytest.mark.parametrize("theta_o", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [LocusBasis, basis_from_vectors])
+def test_non_finite_theta_o_rejected(make, theta_o):
+    pair = [1.0, 0.5, -0.25], [0.0, 2.0, 1.0]
+    with pytest.raises(LocusError, match="theta_o") as excinfo:
+        make(*pair, theta_o)
+    assert type(excinfo.value) is LocusError
+    # the component and degeneracy checks run first, with their own messages
+    with pytest.raises(LocusError, match="not finite or above"):
+        make([math.nan, 0.5, -0.25], pair[1], theta_o)
+    with pytest.raises(DegenerateLocusError):
+        make(pair[0], pair[0], theta_o)
 
 
 def test_scalar_kernels_bit_identical_to_numpy_formulas():
@@ -388,6 +402,11 @@ class TestBasisFromStream:
         series = sample_series(self._scenario(unbalanced_segment), 1000, 1.0)
         with pytest.raises(MeasurementError, match="estimation needs"):
             basis_from_stream(series, 6.0)
+
+    def test_nan_t1_rejected(self, unbalanced_segment):
+        series = sample_series(self._scenario(unbalanced_segment), 1000, 1.0)
+        with pytest.raises(MeasurementError, match="estimation needs"):
+            basis_from_stream(series, math.nan)
 
     def test_short_series(self, unbalanced_segment):
         series = sample_series(self._scenario(unbalanced_segment), 1000, 1.0)

@@ -204,6 +204,14 @@ class TestSegmentAt:
         with pytest.raises(ScenarioError):
             segment_at(step_scenario, -0.1)
 
+    @pytest.mark.parametrize(
+        "angle, message",
+        [(math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be >= 0")],
+    )
+    def test_non_finite_angle_rejected(self, step_scenario, angle, message):
+        with pytest.raises(ScenarioError, match=message):
+            segment_at(step_scenario, angle)
+
 
 def test_evaluate_scenario_honors_switches(step_scenario):
     angles = np.array([0.0, 1.0, TWO_PI - 1e-6, TWO_PI, TWO_PI + 1.0])
@@ -248,6 +256,21 @@ def test_evaluate_scenario_rejects_negative_angles(step_scenario):
     with pytest.raises(ScenarioError):
         evaluate_scenario(step_scenario, np.array([0.0, -1e-9, 1.0]))
     assert evaluate_scenario(step_scenario, np.empty(0)).shape == (3, 0)
+
+
+@pytest.mark.parametrize(
+    "angles, message",
+    [
+        pytest.param([0.0, math.nan], "must be finite", id="nan"),
+        pytest.param([math.inf], "must be finite", id="inf"),
+        pytest.param([1.0, math.inf, 2.0], "must be finite", id="inf-inside"),
+        pytest.param([math.nan, -1.0], "must be finite", id="nan-and-negative"),
+        pytest.param([0.0, -math.inf], "must be >= 0", id="-inf"),
+    ],
+)
+def test_evaluate_scenario_rejects_non_finite_angles(step_scenario, angles, message):
+    with pytest.raises(ScenarioError, match=message):
+        evaluate_scenario(step_scenario, angles)
 
 
 def test_sample_angles_grid():
