@@ -178,14 +178,11 @@ def write_series_csv(path, series: waveform.TransformedSeries, header: str) -> N
 
 
 def _segment_degeneracy(segment):
-    # (degeneracy, whether the basis gate rejects the segment) at a canonical
-    # probe orientation; the gate's g does not depend on the orientation
+    # (degeneracy, whether the basis gate rejects the segment) at the phase-a peak, or
+    # at 0 where phase a has none; the gate's g does not depend on the orientation
+    probe = PHASE_A_PEAK if segment.amplitudes[0] else 0.0
     try:
-        theta = locus.theta_phase_a_peak(segment)
-    except locus.UndefinedOrientationError:
-        theta = 0.0
-    try:
-        return locus.LocusBasis(*locus.basis_vectors(segment, theta), theta).degeneracy, False
+        return locus.build_basis(segment, probe).degeneracy, False
     except locus.DegenerateLocusError as exc:
         return exc.degeneracy, True
 
@@ -223,16 +220,17 @@ def _frame(args, scenario, index: int):
     return basis, transform.assemble(basis, normalized=args.normalized)
 
 
-def _write(out, outputs, report=()) -> None:
-    """Write each ``(name, header, series)`` of ``outputs`` as a CSV in ``out``, then print
-    ``wrote <path>``, the first one after the ``report`` lines.  Called after every
-    computation, so a rejected run leaves no directory and prints nothing."""
+def _write(out, outputs) -> list[str]:
+    """Write each ``(name, header, series)`` of ``outputs`` as a CSV in ``out`` and return
+    the ``wrote <path>`` lines, for the caller to print once every write has succeeded.
+    Called after every computation, so a rejected run leaves no directory."""
     os.makedirs(out, exist_ok=True)
+    wrote = []
     for name, header, series in outputs:
         path = os.path.join(out, name)
         write_series_csv(path, series, header)
-        print(*report, f"wrote {path}", sep="\n")
-        report = ()
+        wrote.append(f"wrote {path}")
+    return wrote
 
 
 def cmd_matrix(args) -> int:
@@ -257,7 +255,7 @@ def cmd_simulate(args) -> int:
     index = _pick_segment(scenario, args.segment)
 
     # the grid is checked (exit 2) before the basis (exit 3)
-    abc = transform.abc_series(scenario, args.rate, periods)
+    abc = waveform.sample_series(scenario, args.rate, periods)
     outputs = []
     if "abc" in args.frames:
         outputs.append(("V_abc.csv", "t,Va,Vb,Vc", abc))
@@ -275,7 +273,7 @@ def cmd_simulate(args) -> int:
         if "dq0" in args.frames:
             outputs.append(("V_dq0_clarke.csv", "t,Vd,Vq,V0", clarke_dq0))
 
-    _write(args.out, outputs)
+    print(*_write(args.out, outputs), sep="\n")
     return 0
 
 
@@ -299,20 +297,22 @@ def cmd_measure(args) -> int:
         series = waveform.TransformedSeries(series.angles, series.coords + noise.T)
 
     e1, e2 = locus.basis_from_stream(series, args.t1_angle)
-    measured = transform.assemble(locus.basis_from_vectors(e1, e2, args.t1_angle))
+    measured = transform.assemble(locus.LocusBasis(e1, e2, args.t1_angle))
 
     # the reference probes come from the kernel that made the samples
     exact = waveform.evaluate_scenario(scenario, [args.t1_angle, args.t1_angle + 0.5 * math.pi])
-    analytic = transform.assemble(locus.basis_from_vectors(*exact.T, args.t1_angle))
+    analytic = transform.assemble(locus.LocusBasis(*exact.T, args.t1_angle))
     deviation = float(np.max(np.abs(measured.forward - analytic.forward)))
 
-    report = (
+    wrote = _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc", series)])
+    print(
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",
         f"noise sigma: {_number(args.noise)} (seed {args.seed})",
+        *wrote,
+        f"max forward deviation: {deviation:.6e}",
+        sep="\n",
     )
-    _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc", series)], report)
-    print(f"max forward deviation: {deviation:.6e}")
     return 0
 
 
@@ -349,14 +349,10 @@ def _frame_options(parser, segment, segment_help: str) -> None:
     )
 
 
-def _sampling_options(parser, periods, periods_help: str, *own) -> None:
+def _sampling_options(parser, periods, periods_help: str) -> None:
     """--rate, --periods and --out, as simulate and measure read them; ``periods`` is
-    the --periods default, None to cover every segment plus one period.  ``own``
-    holds (flag, keywords) pairs of the subcommand's other options, declared between
-    --rate and --periods, where measure's usage and help list them."""
+    the --periods default, None to cover every segment plus one period."""
     parser.add_argument("--rate", type=int, default=1000, help="samples per period (default 1000)")
-    for flag, keywords in own:
-        parser.add_argument(flag, **keywords)
     parser.add_argument("--periods", type=float, default=periods, help=periods_help)
     parser.add_argument("--out", default=".", help="output directory (default .)")
 
@@ -390,16 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure = _subcommand(
         sub, "measure", "estimate the frame matrix from sampled data", cmd_measure
     )
+    _sampling_options(p_measure, 1.0, "periods to sample (default 1)")
     t1_help = "angle of the first basis measurement in radians (default 0)"
+    p_measure.add_argument("--t1-angle", type=float, default=0.0, help=t1_help)
     noise_help = "Gaussian noise standard deviation, per unit (default 0)"
-    _sampling_options(
-        p_measure,
-        1.0,
-        "periods to sample (default 1)",
-        ("--t1-angle", dict(type=float, default=0.0, help=t1_help)),
-        ("--noise", dict(type=float, default=0.0, help=noise_help)),
-        ("--seed", dict(type=int, default=0, help="noise generator seed (default 0)")),
-    )
+    p_measure.add_argument("--noise", type=float, default=0.0, help=noise_help)
+    p_measure.add_argument("--seed", type=int, default=0, help="noise generator seed (default 0)")
     return parser
 
 
@@ -414,6 +406,9 @@ def main(argv=None) -> int:
         if isinstance(exc, locus.MeasurementError):
             return 4
         return 3 if isinstance(exc, locus.LocusError) else 2
+    except MemoryError as exc:  # past sample_angles' check: a gather table, the noise draw
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .waveform import (
     TWO_PI,
 )
 
-# not called in this module, but benchmark/tracer.py wraps this name here
+# not called in the package; benchmark/tracer.py wraps it here until it wraps home modules
 from .waveform import evaluate  # noqa: F401
 
 #: orientation that samples the trajectory when phase a peaks (Clarke-compatible)
@@ -223,14 +223,14 @@ def resolve_orientation(segment: ScenarioSegment, orientation) -> float:
 
 
 def basis_from_vectors(e1, e2, theta_o: float) -> LocusBasis:
-    """The LocusBasis of two in-plane vectors; see LocusBasis for what it rejects."""
+    """``LocusBasis(e1, e2, theta_o)``; the package calls LocusBasis, benchmark/tracer.py this."""
     return LocusBasis(e1, e2, theta_o)
 
 
 def build_basis(segment: ScenarioSegment, orientation=PHASE_A_PEAK) -> LocusBasis:
     """Resolve the orientation, then build the full locus basis for a segment."""
     theta_o = resolve_orientation(segment, orientation)
-    return basis_from_vectors(*basis_vectors(segment, theta_o), theta_o)
+    return LocusBasis(*basis_vectors(segment, theta_o), theta_o)
 
 
 def basis_from_stream(series: TransformedSeries, t1_angle: float) -> tuple[Triple, Triple]:

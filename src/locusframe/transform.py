@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from .locus import LocusBasis, _cross
 from .waveform import TransformedSeries, Triple
 
-# not called in this module, but benchmark/tracer.py wraps these three names here
+# not called in the package; benchmark/tracer.py wraps these names here until it wraps
+# home modules, and abc_series (waveform.sample_series) stays for it and the tests
 from .locus import build_basis  # noqa: F401
 from .waveform import evaluate_scenario, sample_series as abc_series  # noqa: F401
 
@@ -116,15 +117,14 @@ def park_rotate(angle, pair):
     return c * x + s * y, c * y - s * x
 
 
-def _map_then_rotate(forward, abc: TransformedSeries):
-    """(mapped series, dq0 series) of ``forward @ abc.coords``.
+def _rotated(abc: TransformedSeries, coords):
+    """(mapped series, dq0 series) of ``coords``, a frame's map of the samples of ``abc``.
 
     The synchronous rotation angle equals the grid angle, i.e. it is null at
     the series start; the third channel passes through unchanged.
     """
     import numpy as np
 
-    coords = forward @ abc.coords
     d, q = park_rotate(abc.angles, (coords[0], coords[1]))
     return (
         TransformedSeries(abc.angles, coords),
@@ -137,7 +137,7 @@ def pipeline_locus(abc: TransformedSeries, frame: FrameTransform):
 
     Returns (locus123 series, dq0 series).
     """
-    return _map_then_rotate(frame.forward, abc)
+    return _rotated(abc, apply(frame, abc.coords))
 
 
 def pipeline_clarke_park(abc: TransformedSeries):
@@ -146,4 +146,4 @@ def pipeline_clarke_park(abc: TransformedSeries):
     Returns (alpha-beta-0 series, dq0 series).  The zero channel is
     (v_a + v_b + v_c) / 3, the third Clarke row.
     """
-    return _map_then_rotate(clarke_matrix(), abc)
+    return _rotated(abc, clarke_matrix() @ abc.coords)

@@ -29,7 +29,7 @@ from locusframe import (
     load_scenario,
     pipeline_locus,
 )
-from locusframe import cli, transform, waveform
+from locusframe import cli, locus, transform, waveform
 from locusframe.locus import DEGENERACY_RTOL
 from locusframe.waveform import AMPLITUDE_MAX
 from locusframe.cli import (
@@ -916,11 +916,59 @@ def test_shared_options_parse_alike():
     assert _parsed(["measure", "s.json"], sampling_names) == {**sampling, "periods": (1.0, float)}
 
 
-def test_failed_write_prints_nothing(capsys, scenario_path, tmp_path):
-    # measure's report lines come out only with its CSV's "wrote" line
-    (tmp_path / "V_abc_measured.csv").mkdir()
-    code, out, err = _run(capsys, ["measure", str(scenario_path), "--out", str(tmp_path)])
+@pytest.mark.parametrize(
+    "subcommand, taken",
+    [("measure", "V_abc_measured.csv"), ("simulate", "V_123_classical.csv")],
+    ids=["measure", "simulate"],
+)
+def test_failed_write_prints_nothing(capsys, scenario_path, tmp_path, subcommand, taken):
+    # the "wrote" lines, and measure's report lines, come out only after every CSV
+    # is written; simulate writes V_abc.csv before the taken name fails
+    (tmp_path / taken).mkdir()
+    code, out, err = _run(capsys, [subcommand, str(scenario_path), "--out", str(tmp_path)])
     _assert_rejected(code, out, err)
+
+
+@pytest.mark.parametrize(
+    "message, expected",
+    [("", "error: out of memory\n"), ("Unable to allocate 8 GiB", "error: Unable to allocate 8 GiB\n")],
+    ids=["bare", "numpy"],
+)
+@pytest.mark.parametrize("subcommand", ["simulate", "measure"])
+def test_memory_error_is_one_error_line(
+    capsys, monkeypatch, scenario_path, tmp_path, subcommand, message, expected
+):
+    # an allocation after sample_angles' grid, such as evaluate_scenario's gather
+    # tables, can fail on a grid that fit
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(waveform, "evaluate_scenario", exhausted)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, [subcommand, str(scenario_path), "--out", str(out_dir)])
+    _assert_rejected(code, out, err)
+    assert err == expected
+    assert not out_dir.exists()
+
+
+def test_package_calls_no_stand_ins(capsys, monkeypatch, scenario_path, tmp_path):
+    # basis_from_vectors wraps LocusBasis and abc_series is waveform.sample_series;
+    # the library and the CLI call the functions behind them
+    def stand_in(*args, **kwargs):
+        raise AssertionError("stand-in called")
+
+    monkeypatch.setattr(locus, "basis_from_vectors", stand_in)
+    monkeypatch.setattr(transform, "abc_series", stand_in)
+    assert build_basis(support.unbalanced_segment(), PHASE_A_PEAK).degeneracy > 0.0
+    out = str(tmp_path)
+    for argv in (
+        ["validate", str(scenario_path)],
+        ["matrix", str(scenario_path)],
+        ["simulate", str(scenario_path), "--out", out],
+        ["measure", str(scenario_path), "--out", out],
+    ):
+        code, _, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
 
 
 _STOCK_DOC = _one_segment_doc((0.7, 1.0, 0.4), (-70.0, -10.0, -90.0))
