@@ -15,6 +15,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -31,8 +32,11 @@ if TYPE_CHECKING:
 #: frame tokens accepted by simulate --frames
 SIMULATE_FRAMES = ("abc", "locus123", "clarke", "dq0")
 
-#: rows rendered per block in write_series_csv
+#: rows rendered per block in _write_rows
 _CSV_BLOCK_ROWS = 4096
+#: grid rows that simulate samples, maps and writes at a time: whole blocks, so the
+#: CSV bytes do not depend on it, and a multiple of every OpenBLAS unroll width
+_CHUNK_ROWS = 4 * _CSV_BLOCK_ROWS
 _CSV_ROW = "%.6f,%.6f,%.6f,%.6f\n"
 #: |x| below this keeps |x|*1e6 under 2**52, where one ulp is at most 0.5
 _FIXED_MAX = 4.5e9
@@ -157,8 +161,8 @@ def _fixed_rows(rows: np.ndarray) -> bytes | None:
     return words.tobytes().translate(None, b"\0")
 
 
-def write_series_csv(path, series: waveform.TransformedSeries, header: str) -> None:
-    """Write a series as CSV: ``header``, then %.6f values, comma-separated.
+def _write_rows(handle, series: waveform.TransformedSeries) -> None:
+    """Append the CSV rows of ``series`` to ``handle``, %.6f values comma-separated.
 
     Rows are rendered a block at a time by :func:`_fixed_rows`; a block it
     cannot prove exact is %-formatted instead.  Both give the bytes of
@@ -166,15 +170,20 @@ def write_series_csv(path, series: waveform.TransformedSeries, header: str) -> N
     """
     import numpy as np
 
+    for lo in range(0, len(series), _CSV_BLOCK_ROWS):
+        hi = lo + _CSV_BLOCK_ROWS
+        rows = np.vstack([series.angles[lo:hi], series.coords[:, lo:hi]]).T
+        text = _fixed_rows(rows)
+        if text is None:
+            text = (_CSV_ROW * len(rows) % tuple(rows.ravel().tolist())).encode("ascii")
+        handle.write(text)
+
+
+def write_series_csv(path, series: waveform.TransformedSeries, header: str) -> None:
+    """Write a series as CSV: ``header``, then the rows of :func:`_write_rows`."""
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii") + b"\n")
-        for lo in range(0, len(series), _CSV_BLOCK_ROWS):
-            hi = lo + _CSV_BLOCK_ROWS
-            rows = np.vstack([series.angles[lo:hi], series.coords[:, lo:hi]]).T
-            text = _fixed_rows(rows)
-            if text is None:
-                text = (_CSV_ROW * len(rows) % tuple(rows.ravel().tolist())).encode("ascii")
-            handle.write(text)
+        _write_rows(handle, series)
 
 
 def _segment_degeneracy(segment):
@@ -220,17 +229,50 @@ def _frame(args, scenario, index: int):
     return basis, transform.assemble(basis, normalized=args.normalized)
 
 
-def _write(out, outputs) -> list[str]:
-    """Write each ``(name, header, series)`` of ``outputs`` as a CSV in ``out`` and return
-    the ``wrote <path>`` lines, for the caller to print once every write has succeeded.
-    Called after every computation, so a rejected run leaves no directory."""
-    os.makedirs(out, exist_ok=True)
-    wrote = []
-    for name, header, series in outputs:
-        path = os.path.join(out, name)
-        write_series_csv(path, series, header)
-        wrote.append(f"wrote {path}")
-    return wrote
+def _write(out, files, chunks) -> list[str]:
+    """Write one CSV in ``out`` per ``(name, header)`` of ``files``, its rows the
+    matching series of each list that ``chunks`` yields, and return the ``wrote <path>``
+    lines for the caller to print.
+
+    All or nothing: the first chunk is computed before ``out`` is created, each CSV is
+    written under a temporary name and renamed once the last chunk is written.  On any
+    failure the temporaries, the CSVs already renamed and the directories this call
+    created are removed before the error propagates.
+    """
+    chunks = iter(chunks)
+    chunk = next(chunks)
+    made = []  # the directories makedirs creates, innermost first
+    head = os.path.abspath(out)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    paths = [os.path.join(out, name) for name, _ in files]
+    temps = [os.path.join(out, f".{name}.tmp") for name, _ in files]
+    done = []
+    try:
+        os.makedirs(out, exist_ok=True)
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(open(temp, "wb")) for temp in temps]
+            for handle, (_, header) in zip(handles, files):
+                handle.write(header.encode("ascii") + b"\n")
+            while chunk:
+                # each series is dropped once written: the heap reuses its memory for the
+                # blocks after it instead of returning it, and the next chunk starts empty
+                for handle in handles:
+                    _write_rows(handle, chunk.pop(0))
+                chunk = next(chunks, None)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+            done.append(path)
+    except BaseException:
+        for path in temps + done:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+    return [f"wrote {path}" for path in paths]
 
 
 def cmd_matrix(args) -> int:
@@ -248,6 +290,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """Sample the scenario on its grid, run the requested pipelines and write their CSVs,
+    _CHUNK_ROWS grid rows at a time.  Each value depends only on its own sample, so the
+    bytes are those of the whole series, and memory beyond the 8-byte-per-sample grid
+    does not grow with --periods."""
     scenario = waveform.load_scenario(args.scenario)
     periods = args.periods
     if periods is None:
@@ -255,25 +301,33 @@ def cmd_simulate(args) -> int:
     index = _pick_segment(scenario, args.segment)
 
     # the grid is checked (exit 2) before the basis (exit 3)
-    abc = waveform.sample_series(scenario, args.rate, periods)
-    outputs = []
-    if "abc" in args.frames:
-        outputs.append(("V_abc.csv", "t,Va,Vb,Vc", abc))
-    if "locus123" in args.frames or "dq0" in args.frames:
+    angles = waveform.sample_angles(args.rate, periods)
+    frames = args.frames
+    frame = None
+    if "locus123" in frames or "dq0" in frames:
         _, frame = _frame(args, scenario, index)
-        series123, dq0 = transform.pipeline_locus(abc, frame)
-        label = orientation_label(args.orientation)
-        if "locus123" in args.frames:
-            outputs.append((f"V_123_{label}.csv", "t,V1,V2,V3", series123))
-        if "dq0" in args.frames:
-            outputs.append((f"V_dq0_{label}.csv", "t,Vd,Vq,V0", dq0))
-    if "clarke" in args.frames:
-        ab0, clarke_dq0 = transform.pipeline_clarke_park(abc)
-        outputs.append(("V_ab0_clarke.csv", "t,Valpha,Vbeta,V0", ab0))
-        if "dq0" in args.frames:
-            outputs.append(("V_dq0_clarke.csv", "t,Vd,Vq,V0", clarke_dq0))
+    label = orientation_label(args.orientation)
+    # each CSV of a chunk's (abc, locus123, locus dq0, alpha-beta-0, Clarke dq0)
+    outputs = [
+        ("abc" in frames, "V_abc.csv", "t,Va,Vb,Vc"),
+        ("locus123" in frames, f"V_123_{label}.csv", "t,V1,V2,V3"),
+        ("dq0" in frames, f"V_dq0_{label}.csv", "t,Vd,Vq,V0"),
+        ("clarke" in frames, "V_ab0_clarke.csv", "t,Valpha,Vbeta,V0"),
+        ("clarke" in frames and "dq0" in frames, "V_dq0_clarke.csv", "t,Vd,Vq,V0"),
+    ]
 
-    print(*_write(args.out, outputs), sep="\n")
+    def chunk(grid):
+        abc = waveform.TransformedSeries(grid, waveform.evaluate_scenario(scenario, grid))
+        series = [abc, None, None, None, None]
+        if frame is not None:
+            series[1:3] = transform.pipeline_locus(abc, frame)
+        if "clarke" in frames:
+            series[3:5] = transform.pipeline_clarke_park(abc)
+        return [one for one, (wanted, _, _) in zip(series, outputs) if wanted]
+
+    chunks = (chunk(angles[lo : lo + _CHUNK_ROWS]) for lo in range(0, angles.size, _CHUNK_ROWS))
+    files = [(name, header) for wanted, name, header in outputs if wanted]
+    print(*_write(args.out, files, chunks), sep="\n")
     return 0
 
 
@@ -293,8 +347,9 @@ def cmd_measure(args) -> int:
     if args.noise > 0.0:
         # one sample-major draw: sample i gets draws 3i..3i+2
         rng = np.random.default_rng(args.seed)
-        noise = rng.normal(0.0, args.noise, size=(len(series), 3))
-        series = waveform.TransformedSeries(series.angles, series.coords + noise.T)
+        noise = rng.normal(0.0, args.noise, size=(len(series), 3)).T
+        noise += series.coords
+        series = waveform.TransformedSeries(series.angles, noise)
 
     e1, e2 = locus.basis_from_stream(series, args.t1_angle)
     measured = transform.assemble(locus.LocusBasis(e1, e2, args.t1_angle))
@@ -304,7 +359,7 @@ def cmd_measure(args) -> int:
     analytic = transform.assemble(locus.LocusBasis(*exact.T, args.t1_angle))
     deviation = float(np.max(np.abs(measured.forward - analytic.forward)))
 
-    wrote = _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc", series)])
+    wrote = _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc")], [[series]])
     print(
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",

@@ -170,6 +170,8 @@ def values_at(segment: ScenarioSegment, angle: float) -> Triple:
     v_k = V_k cos(angle + phi_k + s_k) with s = (0, -2pi/3, +2pi/3), from
     ``math.cos``: the per-segment kernel of the basis vectors, which runs
     without numpy.  Sampled values come from :func:`evaluate_scenario`.
+    The angle is not checked, unlike in :func:`segment_at`: NaN gives NaN
+    values and an infinite angle raises math's ValueError.
     """
     va, vb, vc = segment.amplitudes
     qa, qb, qc = total_phases(segment)
@@ -182,6 +184,8 @@ def evaluate(segment: ScenarioSegment, angle) -> np.ndarray:
     ``angle`` may be a scalar, giving shape (3,), or a 1-D array, giving
     shape (3, n) with the phase axis first.  Both take numpy's cosine, as
     :func:`evaluate_scenario` does, so they agree with it bit for bit.
+    Unlike there, angles are not checked: a NaN angle gives NaN values, and an
+    infinite one NaN values with numpy's invalid-value RuntimeWarning.
     """
     import numpy as np
 

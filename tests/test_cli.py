@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from locusframe.locus import DEGENERACY_RTOL
 from locusframe.waveform import AMPLITUDE_MAX
 from locusframe.cli import (
     _CSV_BLOCK_ROWS,
+    SIMULATE_FRAMES,
     build_parser,
     main,
     matrix_lines,
@@ -923,10 +925,178 @@ def test_shared_options_parse_alike():
 )
 def test_failed_write_prints_nothing(capsys, scenario_path, tmp_path, subcommand, taken):
     # the "wrote" lines, and measure's report lines, come out only after every CSV
-    # is written; simulate writes V_abc.csv before the taken name fails
+    # is written; simulate moves V_abc.csv into place before the taken name fails,
+    # and takes it out again
     (tmp_path / taken).mkdir()
     code, out, err = _run(capsys, [subcommand, str(scenario_path), "--out", str(tmp_path)])
     _assert_rejected(code, out, err)
+    assert [path.name for path in tmp_path.iterdir()] == [taken]
+
+
+@pytest.mark.parametrize("out", ["new", "nested/new", "existing"], ids=["new", "nested", "existing"])
+def test_failure_mid_stream_leaves_nothing(capsys, monkeypatch, scenario_path, tmp_path, out):
+    # 20 periods are two chunks; the second fails after the first was written, and the
+    # run takes out its temporaries and the directories it made, but not an older CSV
+    pipeline = transform.pipeline_clarke_park
+    calls = []
+
+    def exhausted_on_second_chunk(abc):
+        calls.append(len(abc))
+        if len(calls) == 2:
+            raise MemoryError()
+        return pipeline(abc)
+
+    monkeypatch.setattr(transform, "pipeline_clarke_park", exhausted_on_second_chunk)
+    out_dir = tmp_path / out
+    if out == "existing":
+        out_dir.mkdir()
+        (out_dir / "V_abc.csv").write_bytes(b"older run\n")
+    argv = ["simulate", str(scenario_path), "--periods", "20", "--out", str(out_dir)]
+    code, stdout, err = _run(capsys, argv)
+    _assert_rejected(code, stdout, err)
+    assert err == "error: out of memory\n"
+    assert calls == [cli._CHUNK_ROWS, 20001 - cli._CHUNK_ROWS]
+    if out == "existing":
+        assert [path.name for path in out_dir.iterdir()] == ["V_abc.csv"]
+        assert (out_dir / "V_abc.csv").read_bytes() == b"older run\n"
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+#: rate and start periods that put segment switches on samples 1024 (inside the first
+#: chunk), 16383 and 16384 (either side of the first chunk edge), and between samples
+#: 32767 and 32768 (next to the second)
+_STREAM_RATE = 1024
+_STREAM_STARTS = (0.0, 1.0, 16383 / 1024, 16.0, 32767.5 / 1024)
+
+
+@pytest.fixture(scope="module")
+def stream_scenario(tmp_path_factory):
+    amplitudes = ((1.0, 1.0, 1.0), (0.7, 1.0, 0.4), (0.9, 0.2, 1.1), (0.5, 0.8, 0.6), (1.2, 0.4, 0.3))
+    offsets = ((-50.0,) * 3, (-70.0, -10.0, -90.0), (30.0, 0.0, 170.0), (0.0, 90.0, -45.0), (10.0, 20.0, 30.0))
+    doc = {
+        "frequency_hz": 50.0,
+        "segments": [
+            {"start_periods": start, "amplitudes_pu": list(amps), "phase_offsets_deg": list(offs)}
+            for start, amps, offs in zip(_STREAM_STARTS, amplitudes, offsets)
+        ],
+    }
+    path = tmp_path_factory.mktemp("stream") / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _library_csvs(directory, scenario, samples, flags):
+    """{name: bytes} of the five CSVs that write_series_csv gives for the whole series
+    of ``samples`` grid rows at _STREAM_RATE, under simulate's frame ``flags``."""
+    args = build_parser().parse_args(["simulate", "s.json", *flags])
+    abc = waveform.sample_series(scenario, _STREAM_RATE, (samples - 1) / _STREAM_RATE)
+    assert len(abc) == samples
+    index = len(scenario.segments) - 1 if args.segment is None else args.segment - 1
+    frame = assemble(build_basis(scenario.segments[index], args.orientation), args.normalized)
+    label = orientation_label(args.orientation)
+    series123, dq0 = pipeline_locus(abc, frame)
+    ab0, clarke_dq0 = transform.pipeline_clarke_park(abc)
+    csvs = {}
+    for name, header, series in [
+        ("V_abc.csv", "t,Va,Vb,Vc", abc),
+        (f"V_123_{label}.csv", "t,V1,V2,V3", series123),
+        (f"V_dq0_{label}.csv", "t,Vd,Vq,V0", dq0),
+        ("V_ab0_clarke.csv", "t,Valpha,Vbeta,V0", ab0),
+        ("V_dq0_clarke.csv", "t,Vd,Vq,V0", clarke_dq0),
+    ]:
+        write_series_csv(directory / name, series, header)
+        csvs[name] = (directory / name).read_bytes()
+    return csvs
+
+
+def _streamed_csvs(capsys, directory, scenario_path, samples, flags):
+    """{name: bytes} of the CSVs that simulate writes for ``samples`` grid rows."""
+    periods = repr((samples - 1) / _STREAM_RATE)
+    argv = ["simulate", str(scenario_path), "--rate", str(_STREAM_RATE), "--periods", periods]
+    code, _, err = _run(capsys, [*argv, *flags, "--out", str(directory)])
+    assert (code, err) == (0, "")
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+_CHUNK = cli._CHUNK_ROWS
+
+
+@pytest.mark.parametrize(
+    "samples, flags",
+    [
+        (1000, []),
+        (_CHUNK - 1, []),
+        (_CHUNK, []),
+        (_CHUNK + 1, ["--orientation", MAX_NORM, "--normalized", "--segment", "3"]),
+        (2 * _CHUNK - 1, ["--orientation", "angle:0.4", "--segment", "4"]),
+        (2 * _CHUNK, []),
+        (2 * _CHUNK + 1, ["--segment", "2"]),
+    ],
+)
+def test_streamed_bytes_equal_whole_series(capsys, tmp_path, stream_scenario, samples, flags):
+    # each value depends only on its own sample, so simulate's chunks write the bytes
+    # that the whole-series library path writes
+    scenario = load_scenario(stream_scenario)
+    (tmp_path / "library").mkdir()
+    expected = _library_csvs(tmp_path / "library", scenario, samples, flags)
+    assert _streamed_csvs(capsys, tmp_path / "cli", stream_scenario, samples, flags) == expected
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [
+        ",".join(subset)
+        for k in range(1, len(SIMULATE_FRAMES) + 1)
+        for subset in itertools.combinations(SIMULATE_FRAMES, k)
+    ],
+)
+def test_streamed_frames_subset(capsys, tmp_path, stream_scenario, frames):
+    # the files of each --frames subset, over a chunk edge with a switch beside it
+    samples = _CHUNK + 1
+    scenario = load_scenario(stream_scenario)
+    (tmp_path / "library").mkdir()
+    every = _library_csvs(tmp_path / "library", scenario, samples, [])
+    tokens = frames.split(",")
+    names = [
+        name
+        for name, wanted in [
+            ("V_abc.csv", "abc" in tokens),
+            ("V_123_classical.csv", "locus123" in tokens),
+            ("V_dq0_classical.csv", "dq0" in tokens),
+            ("V_ab0_clarke.csv", "clarke" in tokens),
+            ("V_dq0_clarke.csv", "clarke" in tokens and "dq0" in tokens),
+        ]
+        if wanted
+    ]
+    streamed = _streamed_csvs(capsys, tmp_path / "cli", stream_scenario, samples, ["--frames", frames])
+    assert streamed == {name: every[name] for name in names}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_simulate_peak_memory_flat_in_periods(scenario_path, tmp_path):
+    # VmHWM is read inside each child after main returns; ru_maxrss would carry the
+    # peak of the process that spawned it across fork and exec
+    script = (
+        "import sys\n"
+        "from locusframe import cli\n"
+        "cli.main(['simulate', sys.argv[1], '--periods', sys.argv[2], '--out', sys.argv[3]])\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    peaks = []
+    for periods in ("20", "200"):
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(scenario_path), periods, str(tmp_path / periods)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            check=True,
+        )
+        peaks.append(int(done.stdout.splitlines()[-1]) / 1024.0)  # kB to MiB
+    # 20 periods are 20 001 rows and 200 periods ten times as many; only the grid,
+    # 8 bytes per row (1.4 MiB here), may grow with them
+    assert abs(peaks[1] - peaks[0]) < 4.0, peaks
 
 
 @pytest.mark.parametrize(
