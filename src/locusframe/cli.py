@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from . import locus, transform, waveform
 from .locus import MAX_NORM, PHASE_A_PEAK
-from .waveform import TWO_PI, ScenarioError
+from .waveform import _CHUNK_ROWS, TWO_PI, ScenarioError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,11 +32,8 @@ if TYPE_CHECKING:
 #: frame tokens accepted by simulate --frames
 SIMULATE_FRAMES = ("abc", "locus123", "clarke", "dq0")
 
-#: rows rendered per block in _write_rows
+#: rows rendered per block in _write_rows; waveform._CHUNK_ROWS is four blocks
 _CSV_BLOCK_ROWS = 4096
-#: grid rows that simulate samples, maps and writes at a time: whole blocks, so the
-#: CSV bytes do not depend on it, and a multiple of every OpenBLAS unroll width
-_CHUNK_ROWS = 4 * _CSV_BLOCK_ROWS
 _CSV_ROW = "%.6f,%.6f,%.6f,%.6f\n"
 #: |x| below this keeps |x|*1e6 under 2**52, where one ulp is at most 0.5
 _FIXED_MAX = 4.5e9
@@ -316,8 +313,7 @@ def cmd_simulate(args) -> int:
         ("clarke" in frames and "dq0" in frames, "V_dq0_clarke.csv", "t,Vd,Vq,V0"),
     ]
 
-    def chunk(grid):
-        abc = waveform.TransformedSeries(grid, waveform.evaluate_scenario(scenario, grid))
+    def chunk(abc):
         series = [abc, None, None, None, None]
         if frame is not None:
             series[1:3] = transform.pipeline_locus(abc, frame)
@@ -325,13 +321,18 @@ def cmd_simulate(args) -> int:
             series[3:5] = transform.pipeline_clarke_park(abc)
         return [one for one, (wanted, _, _) in zip(series, outputs) if wanted]
 
-    chunks = (chunk(angles[lo : lo + _CHUNK_ROWS]) for lo in range(0, angles.size, _CHUNK_ROWS))
     files = [(name, header) for wanted, name, header in outputs if wanted]
-    print(*_write(args.out, files, chunks), sep="\n")
+    print(*_write(args.out, files, map(chunk, waveform.sample_chunks(scenario, angles))), sep="\n")
     return 0
 
 
 def cmd_measure(args) -> int:
+    """Estimate the frame from the grid rows around --t1-angle and a quarter period
+    later, then sample the grid, add the noise and write the CSV _CHUNK_ROWS rows at a
+    time.  The estimate comes first, so a rejected one (exit 4 or 3) writes nothing.
+    Each value and each row's noise draws depend only on the row, so the bytes are those
+    of the whole series, and memory beyond the 8-byte-per-sample grid does not grow
+    with --periods."""
     import numpy as np
 
     if not math.isfinite(args.t1_angle):
@@ -343,15 +344,22 @@ def cmd_measure(args) -> int:
     if args.seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {args.seed}")
     scenario = waveform.load_scenario(args.scenario)
-    series = waveform.sample_series(scenario, args.rate, args.periods)
-    if args.noise > 0.0:
-        # one sample-major draw: sample i gets draws 3i..3i+2
-        rng = np.random.default_rng(args.seed)
-        noise = rng.normal(0.0, args.noise, size=(len(series), 3)).T
-        noise += series.coords
-        series = waveform.TransformedSeries(series.angles, noise)
+    # the grid is checked (exit 2, then exit 4) before any sample is taken
+    angles = waveform.sample_angles(args.rate, args.periods)
+    rows = locus.stream_window(angles, args.t1_angle)
 
-    e1, e2 = locus.basis_from_stream(series, args.t1_angle)
+    def noise(rng, count):
+        # sample-major: grid row k gets draws 3k..3k+2 of default_rng(seed), however
+        # the rows are split between calls
+        return rng.normal(0.0, args.noise, size=(count, 3)).T
+
+    window = waveform.evaluate_scenario(scenario, angles[rows])
+    if args.noise > 0.0:
+        rng = np.random.default_rng(args.seed)
+        for lo in range(0, rows.start, _CHUNK_ROWS):  # drop the draws before the window
+            noise(rng, min(_CHUNK_ROWS, rows.start - lo))
+        window += noise(rng, rows.stop - rows.start)
+    e1, e2 = locus.basis_from_window(angles[rows], window, args.t1_angle)
     measured = transform.assemble(locus.LocusBasis(e1, e2, args.t1_angle))
 
     # the reference probes come from the kernel that made the samples
@@ -359,7 +367,16 @@ def cmd_measure(args) -> int:
     analytic = transform.assemble(locus.LocusBasis(*exact.T, args.t1_angle))
     deviation = float(np.max(np.abs(measured.forward - analytic.forward)))
 
-    wrote = _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc")], [[series]])
+    chunks = waveform.sample_chunks(scenario, angles)
+    if args.noise > 0.0:
+        rng = np.random.default_rng(args.seed)  # the same draws again, from row 0
+
+        def noisy(abc):
+            np.add(abc.coords, noise(rng, len(abc)), out=abc.coords)
+            return abc
+
+        chunks = map(noisy, chunks)
+    wrote = _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc")], ([abc] for abc in chunks))
     print(
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",

@@ -22,6 +22,7 @@ from .waveform import (
     ScenarioSegment,
     TransformedSeries,
     Triple,
+    _CHUNK_ROWS,
     _Frozen,
     total_phases,
     values_at,
@@ -233,22 +234,25 @@ def build_basis(segment: ScenarioSegment, orientation=PHASE_A_PEAK) -> LocusBasi
     return LocusBasis(*basis_vectors(segment, theta_o), theta_o)
 
 
-def basis_from_stream(series: TransformedSeries, t1_angle: float) -> tuple[Triple, Triple]:
-    """Estimate the in-plane basis from a uniformly sampled abc series.
+def stream_window(angles, t1_angle: float) -> slice:
+    """Rows of a sampled angle grid that linear interpolation at t1_angle and
+    t1_angle + pi/2 reads, once the grid is checked for the estimate.
 
-    Linearly interpolates the series at t1_angle and t1_angle + pi/2, giving
-    two float triples; the implied orientation angle is t1_angle.  The series
-    must be uniformly sampled, carry at least MIN_STREAM_RATE samples per
-    period and cover [t1_angle, t1_angle + pi/2], or MeasurementError is raised.
+    The grid must hold at least two samples, be uniformly sampled, carry at
+    least MIN_STREAM_RATE samples per period and cover
+    [t1_angle, t1_angle + pi/2], or MeasurementError is raised.  The checks
+    read _CHUNK_ROWS rows at a time, so they make no grid-size array.
     """
     import numpy as np
 
     t2_angle = t1_angle + 0.5 * math.pi
-    if len(series) < 2:
+    if len(angles) < 2:
         raise MeasurementError("series holds fewer than two samples")
-    angles = series.angles
     step = angles[1] - angles[0]
-    if step <= 0.0 or np.any(np.abs(np.diff(angles) - step) > 1e-9):
+    if step <= 0.0 or any(
+        np.any(np.abs(np.diff(angles[lo : lo + _CHUNK_ROWS + 1]) - step) > 1e-9)
+        for lo in range(0, len(angles) - 1, _CHUNK_ROWS)
+    ):
         raise MeasurementError("series is not uniformly sampled")
     rate = TWO_PI / step
     if rate < MIN_STREAM_RATE - 1e-9:
@@ -261,7 +265,33 @@ def basis_from_stream(series: TransformedSeries, t1_angle: float) -> tuple[Tripl
             f"series spans [{angles[0]:.6g}, {angles[-1]:.6g}] rad, "
             f"estimation needs [{t1_angle:.6g}, {t2_angle:.6g}]"
         )
+    # np.interp reads rows k and k + 1 for the last k with angles[k] <= angle, the
+    # first or last interval for an angle just outside the grid
+    k = np.searchsorted(angles, (t1_angle, t2_angle), side="right") - 1
+    first, last = np.clip(k, 0, len(angles) - 2)
+    return slice(int(first), int(last) + 2)
+
+
+def basis_from_window(angles, coords, t1_angle: float) -> tuple[Triple, Triple]:
+    """e1, e2 linearly interpolated at t1_angle and t1_angle + pi/2 from the rows
+    ``angles``, ``coords`` (shape (3, n)) of a grid that stream_window checked and
+    cut.  Nothing is checked again: a window's own first step can differ from the
+    grid's by an ulp of its angles."""
+    import numpy as np
+
     return tuple(
-        tuple(float(np.interp(angle, angles, channel)) for channel in series.coords)
-        for angle in (t1_angle, t2_angle)
+        tuple(float(np.interp(angle, angles, channel)) for channel in coords)
+        for angle in (t1_angle, t1_angle + 0.5 * math.pi)
     )
+
+
+def basis_from_stream(series: TransformedSeries, t1_angle: float) -> tuple[Triple, Triple]:
+    """Estimate the in-plane basis from a uniformly sampled abc series.
+
+    Linearly interpolates the series at t1_angle and t1_angle + pi/2, giving
+    two float triples; the implied orientation angle is t1_angle.  The series
+    must pass the checks of stream_window, or MeasurementError is raised, and
+    only the rows it returns are read.
+    """
+    rows = stream_window(series.angles, t1_angle)
+    return basis_from_window(series.angles[rows], series.coords[:, rows], t1_angle)

@@ -28,6 +28,10 @@ STRUCTURAL_SHIFTS = (0.0, -TWO_PI / 3.0, TWO_PI / 3.0)
 #: largest amplitude: keeps |e1 x e2|^2, which grows as V^4, far inside the float range
 AMPLITUDE_MAX = 1e50
 
+#: grid rows that the streamed paths check, sample, map and write at a time: four of
+#: the CLI's 4096-row CSV blocks, and a multiple of every OpenBLAS unroll width
+_CHUNK_ROWS = 16384
+
 
 class ScenarioError(ValueError):
     """Invalid scenario data or scenario document."""
@@ -273,6 +277,17 @@ def sample_series(
     """
     angles = sample_angles(samples_per_period, periods)
     return TransformedSeries(angles, evaluate_scenario(scenario, angles))
+
+
+def sample_chunks(scenario: PhasorScenario, angles: np.ndarray):
+    """The abc series of a scenario on the grid ``angles``, _CHUNK_ROWS rows at a time.
+
+    Yields one TransformedSeries per chunk, in grid order; each value depends only
+    on its own angle, so the chunks hold the rows of the whole series bit for bit.
+    """
+    for lo in range(0, angles.size, _CHUNK_ROWS):
+        grid = angles[lo : lo + _CHUNK_ROWS]
+        yield TransformedSeries(grid, evaluate_scenario(scenario, grid))
 
 
 def _require(mapping, key, where):

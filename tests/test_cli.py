@@ -32,7 +32,7 @@ from locusframe import (
 )
 from locusframe import cli, locus, transform, waveform
 from locusframe.locus import DEGENERACY_RTOL
-from locusframe.waveform import AMPLITUDE_MAX
+from locusframe.waveform import AMPLITUDE_MAX, TWO_PI
 from locusframe.cli import (
     _CSV_BLOCK_ROWS,
     SIMULATE_FRAMES,
@@ -963,6 +963,62 @@ def test_failure_mid_stream_leaves_nothing(capsys, monkeypatch, scenario_path, t
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", ["new", "nested/new", "existing"], ids=["new", "nested", "existing"])
+def test_measure_failure_mid_stream_leaves_nothing(
+    capsys, monkeypatch, scenario_path, tmp_path, out
+):
+    # the estimate passes and the first chunk is written; sampling the second fails
+    evaluate = waveform.evaluate_scenario
+    calls = []
+
+    def exhausted_on_second_chunk(scenario, angles):
+        calls.append(len(angles))
+        if len(angles) == 20001 - cli._CHUNK_ROWS:
+            raise MemoryError()
+        return evaluate(scenario, angles)
+
+    monkeypatch.setattr(waveform, "evaluate_scenario", exhausted_on_second_chunk)
+    out_dir = tmp_path / out
+    if out == "existing":
+        out_dir.mkdir()
+        (out_dir / "V_abc_measured.csv").write_bytes(b"older run\n")
+    argv = ["measure", str(scenario_path), "--periods", "20", "--noise", "0.01"]
+    code, stdout, err = _run(capsys, [*argv, "--out", str(out_dir)])
+    _assert_rejected(code, stdout, err)
+    assert err == "error: out of memory\n"
+    # rows 0..251 around t1 = 0 and t2 = pi/2 (row 250), the two reference probes, then
+    # the chunks
+    assert calls == [252, 2, cli._CHUNK_ROWS, 20001 - cli._CHUNK_ROWS]
+    if out == "existing":
+        assert [path.name for path in out_dir.iterdir()] == ["V_abc_measured.csv"]
+        assert (out_dir / "V_abc_measured.csv").read_bytes() == b"older run\n"
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [(["--noise", "1e300", "--t1-angle", "300"], 3), (["--t1-angle", "700"], 4)],
+    ids=["overflowing estimate", "span"],
+)
+@pytest.mark.parametrize("out", ["nested/new", "file"])
+def test_rejected_estimate_comes_before_output(
+    capsys, scenario_path, tmp_path, flags, expected, out
+):
+    # the estimate runs before --out is made or opened: with --out a regular file the
+    # run still exits 3 or 4, not 2, and leaves the file as it was
+    out_path = tmp_path / out
+    if out == "file":
+        out_path.write_bytes(b"not a directory\n")
+    argv = ["measure", str(scenario_path), "--periods", "100", *flags, "--out", str(out_path)]
+    _assert_rejected(*_run(capsys, argv), expected=expected)
+    if out == "file":
+        assert list(tmp_path.iterdir()) == [out_path]
+        assert out_path.read_bytes() == b"not a directory\n"
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
 #: rate and start periods that put segment switches on samples 1024 (inside the first
 #: chunk), 16383 and 16384 (either side of the first chunk edge), and between samples
 #: 32767 and 32768 (next to the second)
@@ -1073,21 +1129,91 @@ def test_streamed_frames_subset(capsys, tmp_path, stream_scenario, frames):
     assert streamed == {name: every[name] for name in names}
 
 
+def _measured_whole_series(directory, out, scenario, rate, samples, t1, sigma, seed):
+    """(stdout, CSV bytes) of measure by the whole-series path: ``samples`` grid rows
+    from sample_series, one noise draw for all of them, basis_from_stream over every
+    row and write_series_csv into ``directory``; ``out`` is the --out of the stdout."""
+    series = waveform.sample_series(scenario, rate, (samples - 1) / rate)
+    assert len(series) == samples
+    if sigma > 0.0:
+        noise = np.random.default_rng(seed).normal(0.0, sigma, size=(samples, 3))
+        series = TransformedSeries(series.angles, noise.T + series.coords)
+    e1, e2 = locus.basis_from_stream(series, t1)
+    exact = waveform.evaluate_scenario(scenario, [t1, t1 + 0.5 * math.pi])
+    measured, analytic = (assemble(locus.LocusBasis(*pair, t1)) for pair in ((e1, e2), exact.T))
+    deviation = np.max(np.abs(measured.forward - analytic.forward))
+    write_series_csv(directory / "V_abc_measured.csv", series, "t,Va,Vb,Vc")
+    stdout = (
+        f"samples per period: {rate}\nt1 angle: {t1:.6f} rad\n"
+        f"noise sigma: {sigma:.6f} (seed {seed})\nwrote {out / 'V_abc_measured.csv'}\n"
+        f"max forward deviation: {deviation:.6e}\n"
+    )
+    return stdout, (directory / "V_abc_measured.csv").read_bytes()
+
+
+def _row(k):
+    """The angle of grid row ``k`` at _STREAM_RATE, as sample_angles computes it."""
+    return k * (TWO_PI / _STREAM_RATE)
+
+
+@pytest.mark.parametrize(
+    "rate, samples, t1, sigma, t2_row",
+    [
+        pytest.param(1024, _CHUNK - 1, _row(1000.3), 0.01, None, id="inside a chunk"),
+        pytest.param(1024, _CHUNK, _row(_CHUNK - 257), 0.0, _CHUNK - 1, id="t2 on the last row"),
+        pytest.param(1024, _CHUNK + 1, 0.0, 0.0, 256, id="t1 on the first row"),
+        pytest.param(1024, _CHUNK + 1, _row(_CHUNK - 256), 0.02, _CHUNK, id="t2 alone in a chunk"),
+        pytest.param(1024, 2 * _CHUNK - 1, _row(_CHUNK - 100.5), 0.01, None, id="over a chunk edge"),
+        pytest.param(1024, 2 * _CHUNK, _row(2 * _CHUNK - 300.7), 0.0, None, id="in the last chunk"),
+        pytest.param(1024, 2 * _CHUNK, _row(8192), 0.05, 8448, id="t2 on a grid row"),
+        pytest.param(1024, 2 * _CHUNK + 1, _row(2 * _CHUNK - 256), 0.01, 2 * _CHUNK, id="last row"),
+        # the rows around t1 read on their own as fewer than 64 samples per period
+        # (test_locus.test_window_can_fail_its_own_check); measure checks only the grid
+        pytest.param(64, 128001, 9000.5, 0.01, None, id="window below the rate floor"),
+    ],
+)
+def test_streamed_measure_equals_whole_series(
+    capsys, tmp_path, stream_scenario, rate, samples, t1, sigma, t2_row
+):
+    # measure samples and draws the noise a chunk at a time, and estimates from the rows
+    # around t1 and t2 = t1 + pi/2 alone; its stdout and CSV are those of the whole series
+    scenario = load_scenario(stream_scenario)
+    if t2_row is not None:  # t2 hits a grid row exactly, and np.interp returns that row
+        assert t1 + 0.5 * math.pi == _row(t2_row)
+    out = tmp_path / "cli"
+    library = tmp_path / "library"
+    library.mkdir()
+    expected = _measured_whole_series(library, out, scenario, rate, samples, t1, sigma, 11)
+    periods = repr((samples - 1) / rate)
+    argv = ["measure", str(stream_scenario), "--rate", str(rate), "--periods", periods]
+    argv += ["--t1-angle", repr(t1), "--noise", repr(sigma), "--seed", "11", "--out", str(out)]
+    code, stdout, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert (stdout, (out / "V_abc_measured.csv").read_bytes()) == expected
+    assert [path.name for path in out.iterdir()] == ["V_abc_measured.csv"]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-def test_simulate_peak_memory_flat_in_periods(scenario_path, tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["measure", "--noise", "0.01", "--t1-angle", "3"]],
+    ids=["simulate", "measure"],
+)
+def test_peak_memory_flat_in_periods(scenario_path, tmp_path, argv):
     # VmHWM is read inside each child after main returns; ru_maxrss would carry the
     # peak of the process that spawned it across fork and exec
     script = (
         "import sys\n"
         "from locusframe import cli\n"
-        "cli.main(['simulate', sys.argv[1], '--periods', sys.argv[2], '--out', sys.argv[3]])\n"
+        "cli.main([*sys.argv[4:], sys.argv[1], '--periods', sys.argv[2], '--out', sys.argv[3]])\n"
         "status = open('/proc/self/status').read().splitlines()\n"
         "print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
     )
     peaks = []
     for periods in ("20", "200"):
         done = subprocess.run(
-            [sys.executable, "-c", script, str(scenario_path), periods, str(tmp_path / periods)],
+            [sys.executable, "-c", script, str(scenario_path), periods, str(tmp_path / periods)]
+            + argv,
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": _SRC},

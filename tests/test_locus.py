@@ -1,9 +1,12 @@
 """Locus basis construction, orientation policies, and measurement paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locusframe import (
     CircularLocusError,
@@ -27,8 +30,8 @@ from locusframe import (
     theta_phase_a_peak,
     wrap_angle,
 )
-from locusframe.locus import DEGENERACY_ATOL, DEGENERACY_RTOL, LocusBasis
-from locusframe.waveform import PhasorScenario, TWO_PI, values_at
+from locusframe.locus import DEGENERACY_ATOL, DEGENERACY_RTOL, LocusBasis, stream_window
+from locusframe.waveform import PhasorScenario, TWO_PI, sample_angles, values_at
 
 import support
 
@@ -421,6 +424,67 @@ class TestBasisFromStream:
         )
         with pytest.raises(MeasurementError, match="uniform"):
             basis_from_stream(gapped, 0.0)
+
+
+@st.composite
+def _stream_estimates(draw):
+    """(series, t1): random coordinates on a grid of 64 to 4096 samples per period, and
+    t1 on a grid row, anywhere in between, with t2 on the last row, or within the span
+    check's 1e-12 slack before the first row."""
+    rate = draw(st.integers(64, 4096))
+    angles = sample_angles(rate, draw(st.floats(0.3, 3.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = TransformedSeries(angles, rng.normal(size=(3, angles.size)))
+    end = angles[-1] - 0.5 * math.pi
+    kind = draw(st.sampled_from(("row", "between", "last", "slack")))
+    if kind == "row":
+        t1 = angles[draw(st.integers(0, int(np.searchsorted(angles, end, side="right")) - 1))]
+    elif kind == "between":
+        t1 = draw(st.floats(0.0, 1.0)) * end
+    else:
+        t1 = end if kind == "last" else -5e-13
+    return series, float(t1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stream_estimates())
+@example((sample_series(PhasorScenario(1.0, (support.unbalanced_segment(),)), 64, 1.0), 0.0))
+def test_bracketing_rows_give_the_same_bits(case):
+    # np.interp over the rows stream_window returns finds the interval, and the exact
+    # hit on a grid row, that it finds over the whole series
+    series, t1 = case
+    whole = tuple(
+        tuple(float(np.interp(angle, series.angles, channel)) for channel in series.coords)
+        for angle in (t1, t1 + 0.5 * math.pi)
+    )
+    rows = stream_window(series.angles, t1)
+    window = TransformedSeries(series.angles[rows], series.coords[:, rows])
+    bits = np.array(whole).tobytes()
+    assert np.array(basis_from_stream(series, t1)).tobytes() == bits
+    assert np.array(basis_from_stream(window, t1)).tobytes() == bits
+
+
+def test_grid_check_makes_no_grid_size_array():
+    # np.diff over the whole grid and its two temporaries peak at about 15 MiB here
+    angles = sample_angles(1000, 1000)
+    assert angles.size == 10**6 + 1
+    tracemalloc.start()
+    try:
+        assert stream_window(angles, 1.0) == slice(159, 411)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_window_can_fail_its_own_check():
+    # near 9000 rad at 64 samples per period the window's first step is an ulp above the
+    # grid's, which reads as 64.0 - 8e-8 samples per period: basis_from_window, not
+    # basis_from_stream, estimates from the rows of a grid that passed
+    angles = sample_angles(64, 2000)
+    rows = stream_window(angles, 9000.5)
+    with pytest.raises(MeasurementError, match="samples per period"):
+        stream_window(angles[rows], 9000.5)
 
 
 def test_basis_from_vectors_round_trip(unbalanced_segment):
