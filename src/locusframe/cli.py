@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from . import locus, transform, waveform
 from .locus import MAX_NORM, PHASE_A_PEAK
-from .waveform import _CHUNK_ROWS, TWO_PI, ScenarioError
+from .waveform import TWO_PI, ScenarioError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -231,13 +231,11 @@ def _write(out, files, chunks) -> list[str]:
     matching series of each list that ``chunks`` yields, and return the ``wrote <path>``
     lines for the caller to print.
 
-    All or nothing: the first chunk is computed before ``out`` is created, each CSV is
-    written under a temporary name and renamed once the last chunk is written.  On any
-    failure the temporaries, the CSVs already renamed and the directories this call
-    created are removed before the error propagates.
+    All or nothing: each CSV is written under a temporary name and renamed once the last
+    chunk is written.  On any failure, making ``out`` or computing a chunk included, the
+    temporaries, the CSVs already renamed and the directories this call created are
+    removed before the error propagates.
     """
-    chunks = iter(chunks)
-    chunk = next(chunks)
     made = []  # the directories makedirs creates, innermost first
     head = os.path.abspath(out)
     while not os.path.exists(head):
@@ -252,12 +250,11 @@ def _write(out, files, chunks) -> list[str]:
             handles = [stack.enter_context(open(temp, "wb")) for temp in temps]
             for handle, (_, header) in zip(handles, files):
                 handle.write(header.encode("ascii") + b"\n")
-            while chunk:
+            for chunk in chunks:
                 # each series is dropped once written: the heap reuses its memory for the
                 # blocks after it instead of returning it, and the next chunk starts empty
                 for handle in handles:
                     _write_rows(handle, chunk.pop(0))
-                chunk = next(chunks, None)
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
             done.append(path)
@@ -288,7 +285,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Sample the scenario on its grid, run the requested pipelines and write their CSVs,
-    _CHUNK_ROWS grid rows at a time.  Each value depends only on its own sample, so the
+    one chunk of sample_chunks at a time.  Each value depends only on its own sample, so the
     bytes are those of the whole series, and memory beyond the 8-byte-per-sample grid
     does not grow with --periods."""
     scenario = waveform.load_scenario(args.scenario)
@@ -327,12 +324,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    """Estimate the frame from the grid rows around --t1-angle and a quarter period
-    later, then sample the grid, add the noise and write the CSV _CHUNK_ROWS rows at a
-    time.  The estimate comes first, so a rejected one (exit 4 or 3) writes nothing.
-    Each value and each row's noise draws depend only on the row, so the bytes are those
-    of the whole series, and memory beyond the 8-byte-per-sample grid does not grow
-    with --periods."""
+    """Estimate the frame from the noisy grid rows around --t1-angle and a quarter period
+    later, then sample the grid again from row 0, add the same noise and write the CSV a
+    chunk at a time.  The estimate comes first, so a rejected one (exit 4 or 3) writes
+    nothing.  Each value and each row's noise draws depend only on the row, so the bytes
+    are those of the whole series, and memory beyond the 8-byte-per-sample grid does not
+    grow with --periods."""
     import numpy as np
 
     if not math.isfinite(args.t1_angle):
@@ -348,35 +345,32 @@ def cmd_measure(args) -> int:
     angles = waveform.sample_angles(args.rate, args.periods)
     rows = locus.stream_window(angles, args.t1_angle)
 
-    def noise(rng, count):
-        # sample-major: grid row k gets draws 3k..3k+2 of default_rng(seed), however
-        # the rows are split between calls
-        return rng.normal(0.0, args.noise, size=(count, 3)).T
+    def measured(grid):
+        # the abc chunks of grid, each with its noise: grid row k gets draws 3k..3k+2 of a
+        # fresh default_rng(seed), so each pass from row 0 adds the same noise; a chunk's
+        # draws are freed before it is yielded
+        rng = np.random.default_rng(args.seed) if args.noise > 0.0 else None
+        for abc in waveform.sample_chunks(scenario, grid):
+            if rng is not None:
+                np.add(abc.coords, rng.normal(0.0, args.noise, (len(abc), 3)).T, out=abc.coords)
+            yield abc
 
-    window = waveform.evaluate_scenario(scenario, angles[rows])
-    if args.noise > 0.0:
-        rng = np.random.default_rng(args.seed)
-        for lo in range(0, rows.start, _CHUNK_ROWS):  # drop the draws before the window
-            noise(rng, min(_CHUNK_ROWS, rows.start - lo))
-        window += noise(rng, rows.stop - rows.start)
+    # the noisy rows up to the window's end; the chunks that hold the window are kept
+    # and let go before the write
+    start = angles[rows.start]
+    tail = [abc.coords for abc in measured(angles[: rows.stop]) if abc.angles[-1] >= start]
+    window = np.hstack(tail)[:, rows.start - rows.stop :]
     e1, e2 = locus.basis_from_window(angles[rows], window, args.t1_angle)
-    measured = transform.assemble(locus.LocusBasis(e1, e2, args.t1_angle))
+    del tail, window
+    estimate = transform.assemble(locus.LocusBasis(e1, e2, args.t1_angle))
 
     # the reference probes come from the kernel that made the samples
     exact = waveform.evaluate_scenario(scenario, [args.t1_angle, args.t1_angle + 0.5 * math.pi])
     analytic = transform.assemble(locus.LocusBasis(*exact.T, args.t1_angle))
-    deviation = float(np.max(np.abs(measured.forward - analytic.forward)))
+    deviation = float(np.max(np.abs(estimate.forward - analytic.forward)))
 
-    chunks = waveform.sample_chunks(scenario, angles)
-    if args.noise > 0.0:
-        rng = np.random.default_rng(args.seed)  # the same draws again, from row 0
-
-        def noisy(abc):
-            np.add(abc.coords, noise(rng, len(abc)), out=abc.coords)
-            return abc
-
-        chunks = map(noisy, chunks)
-    wrote = _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc")], ([abc] for abc in chunks))
+    files = [("V_abc_measured.csv", "t,Va,Vb,Vc")]
+    wrote = _write(args.out, files, ([abc] for abc in measured(angles)))
     print(
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",

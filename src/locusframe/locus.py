@@ -44,7 +44,7 @@ DEGENERACY_RTOL = 1e-8
 DEGENERACY_ATOL = 1e-12
 #: profiles with a_amplitude <= CIRCLE_RTOL * c_level count as circular
 CIRCLE_RTOL = 1e-9
-#: minimum samples per period accepted by basis_from_stream
+#: minimum samples per period that stream_window accepts
 MIN_STREAM_RATE = 64
 
 _NORMAL_SCALE = math.sqrt(3.0)
@@ -249,8 +249,11 @@ def stream_window(angles, t1_angle: float) -> slice:
     if len(angles) < 2:
         raise MeasurementError("series holds fewer than two samples")
     step = angles[1] - angles[0]
-    if step <= 0.0 or any(
-        np.any(np.abs(np.diff(angles[lo : lo + _CHUNK_ROWS + 1]) - step) > 1e-9)
+    # the steps of np.arange(n) * step differ from the first by up to an ulp of the
+    # largest angle, which an ascending grid holds at an end; an infinite end fails
+    slack = 1e-9 + math.ulp(max(abs(angles[0]), abs(angles[-1])))
+    if step <= 0.0 or not slack < math.inf or any(
+        np.any(np.abs(np.diff(angles[lo : lo + _CHUNK_ROWS + 1]) - step) > slack)
         for lo in range(0, len(angles) - 1, _CHUNK_ROWS)
     ):
         raise MeasurementError("series is not uniformly sampled")

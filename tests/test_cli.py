@@ -955,7 +955,7 @@ def test_failure_mid_stream_leaves_nothing(capsys, monkeypatch, scenario_path, t
     code, stdout, err = _run(capsys, argv)
     _assert_rejected(code, stdout, err)
     assert err == "error: out of memory\n"
-    assert calls == [cli._CHUNK_ROWS, 20001 - cli._CHUNK_ROWS]
+    assert calls == [waveform._CHUNK_ROWS, 20001 - waveform._CHUNK_ROWS]
     if out == "existing":
         assert [path.name for path in out_dir.iterdir()] == ["V_abc.csv"]
         assert (out_dir / "V_abc.csv").read_bytes() == b"older run\n"
@@ -973,7 +973,7 @@ def test_measure_failure_mid_stream_leaves_nothing(
 
     def exhausted_on_second_chunk(scenario, angles):
         calls.append(len(angles))
-        if len(angles) == 20001 - cli._CHUNK_ROWS:
+        if len(angles) == 20001 - waveform._CHUNK_ROWS:
             raise MemoryError()
         return evaluate(scenario, angles)
 
@@ -986,9 +986,9 @@ def test_measure_failure_mid_stream_leaves_nothing(
     code, stdout, err = _run(capsys, [*argv, "--out", str(out_dir)])
     _assert_rejected(code, stdout, err)
     assert err == "error: out of memory\n"
-    # rows 0..251 around t1 = 0 and t2 = pi/2 (row 250), the two reference probes, then
-    # the chunks
-    assert calls == [252, 2, cli._CHUNK_ROWS, 20001 - cli._CHUNK_ROWS]
+    # the estimate's prefix, rows 0..251 up to the row after t2 = pi/2 (row 250), the
+    # two reference probes, then the chunks from row 0
+    assert calls == [252, 2, waveform._CHUNK_ROWS, 20001 - waveform._CHUNK_ROWS]
     if out == "existing":
         assert [path.name for path in out_dir.iterdir()] == ["V_abc_measured.csv"]
         assert (out_dir / "V_abc_measured.csv").read_bytes() == b"older run\n"
@@ -1075,7 +1075,7 @@ def _streamed_csvs(capsys, directory, scenario_path, samples, flags):
     return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
-_CHUNK = cli._CHUNK_ROWS
+_CHUNK = waveform._CHUNK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -1193,15 +1193,10 @@ def test_streamed_measure_equals_whole_series(
     assert [path.name for path in out.iterdir()] == ["V_abc_measured.csv"]
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize(
-    "argv",
-    [["simulate"], ["measure", "--noise", "0.01", "--t1-angle", "3"]],
-    ids=["simulate", "measure"],
-)
-def test_peak_memory_flat_in_periods(scenario_path, tmp_path, argv):
-    # VmHWM is read inside each child after main returns; ru_maxrss would carry the
-    # peak of the process that spawned it across fork and exec
+def _peak_mib(scenario_path, out, periods, argv):
+    """VmHWM in MiB of a fresh process that runs main(argv) on the scenario for
+    ``periods`` periods into ``out``; read inside the child after main returns, as
+    ru_maxrss would carry the peak of the process that spawned it across fork and exec."""
     script = (
         "import sys\n"
         "from locusframe import cli\n"
@@ -1209,20 +1204,67 @@ def test_peak_memory_flat_in_periods(scenario_path, tmp_path, argv):
         "status = open('/proc/self/status').read().splitlines()\n"
         "print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
     )
-    peaks = []
-    for periods in ("20", "200"):
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(scenario_path), periods, str(tmp_path / periods)]
-            + argv,
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": _SRC},
-            check=True,
-        )
-        peaks.append(int(done.stdout.splitlines()[-1]) / 1024.0)  # kB to MiB
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(scenario_path), periods, str(out), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        check=True,
+    )
+    return int(done.stdout.splitlines()[-1]) / 1024.0  # kB to MiB
+
+
+_READS_VMHWM = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc"
+)
+
+
+@_READS_VMHWM
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["measure", "--noise", "0.01", "--t1-angle", "3"]],
+    ids=["simulate", "measure"],
+)
+def test_peak_memory_flat_in_periods(scenario_path, tmp_path, argv):
+    peaks = [_peak_mib(scenario_path, tmp_path / n, n, argv) for n in ("20", "200")]
     # 20 periods are 20 001 rows and 200 periods ten times as many; only the grid,
     # 8 bytes per row (1.4 MiB here), may grow with them
     assert abs(peaks[1] - peaks[0]) < 4.0, peaks
+
+
+@_READS_VMHWM
+def test_late_t1_keeps_memory_flat(scenario_path, tmp_path):
+    # the estimate samples every row up to t2 but keeps only the chunks around t1 and
+    # t2; keeping the prefix of t1 = 2500, about 398 000 rows, would add about 12 MiB
+    argv = ["measure", "--noise", "0.01", "--t1-angle"]
+    peaks = [_peak_mib(scenario_path, tmp_path / t1, "400", [*argv, t1]) for t1 in ("3", "2500")]
+    assert abs(peaks[1] - peaks[0]) < 4.0, peaks
+
+
+def test_numpy_random_loads_only_with_noise(scenario_path, tmp_path):
+    # a noiseless measure never makes a generator; the noisy run is the control that
+    # shows the check can fail
+    script = (
+        "import sys\n"
+        "from locusframe import cli\n"
+        "cli.main(['measure', *sys.argv[1:]])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    before = "import sys, numpy\nprint('numpy.random' in sys.modules)\n"
+    done = subprocess.run(
+        [sys.executable, "-c", before], capture_output=True, text=True, env=env, check=True
+    )
+    if done.stdout.split() == ["True"]:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    loaded = []
+    for noise in ("0", "0.01"):
+        argv = [str(scenario_path), "--noise", noise, "--out", str(tmp_path / noise)]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True
+        )
+        loaded.append(done.stdout.split()[-1])
+    assert loaded == ["False", "True"]
 
 
 @pytest.mark.parametrize(

@@ -477,6 +477,15 @@ def test_grid_check_makes_no_grid_size_array():
     assert peak < 2 * 2**20, peak
 
 
+def test_far_grid_is_uniform_to_an_ulp():
+    # near 1.9e7 rad the steps of np.arange(n) * step differ from the first by one ulp,
+    # 3.7e-9, more than the 1e-9 the check allows on its own
+    angles = np.arange(3_000_000_000, 3_000_001_000) * (TWO_PI / 1000)
+    step = angles[1] - angles[0]
+    assert np.abs(np.diff(angles) - step).max() == np.spacing(angles[-1]) > 1e-9
+    assert stream_window(angles, float(angles[10])) == slice(10, 261)
+
+
 def test_window_can_fail_its_own_check():
     # near 9000 rad at 64 samples per period the window's first step is an ulp above the
     # grid's, which reads as 64.0 - 8e-8 samples per period: basis_from_window, not
