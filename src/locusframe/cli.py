@@ -32,8 +32,6 @@ if TYPE_CHECKING:
 #: frame tokens accepted by simulate --frames
 SIMULATE_FRAMES = ("abc", "locus123", "clarke", "dq0")
 
-#: rows rendered per block in _write_rows; waveform._CHUNK_ROWS is four blocks
-_CSV_BLOCK_ROWS = 4096
 _CSV_ROW = "%.6f,%.6f,%.6f,%.6f\n"
 #: |x| below this keeps |x|*1e6 under 2**52, where one ulp is at most 0.5
 _FIXED_MAX = 4.5e9
@@ -122,57 +120,91 @@ def matrix_lines(matrix) -> list[str]:
     return ["".join(" " + _number(entry, "%7.3f", "%.3e") for entry in row) for row in matrix]
 
 
-def _fixed_rows(rows: np.ndarray) -> bytes | None:
-    """CSV text of a (n, 4) block, each value as ``"%.6f" % x`` gives it.
+def _fixed_rows(angles: np.ndarray, coords: np.ndarray) -> bytes | None:
+    """CSV text of the rows ``(angles[i], *coords[:, i])``, each value as ``"%.6f" % x``
+    gives it.
 
-    Rounds |x|*1e6 to an integer count of millionths and renders it from the
-    word tables.  Below 2**52 both |x|*1e6 and that integer are multiples of
-    one ulp (at most 0.5), and the exact product lies within half an ulp, so
-    a distance under 0.5 proves the integer is the correctly rounded one.
-    Returns None when the block holds a value where that proof fails: a
-    non-finite value, |x| >= _FIXED_MAX, or a tie |x|*1e6 = k + 0.5.
+    Rounds |x|*1e6 to an integer count u of millionths and renders it from the word
+    tables.  Below 2**52 both |x|*1e6 and u are multiples of one ulp (at most 0.5),
+    and the exact product lies within half an ulp, so a distance under 0.5 proves u
+    is the correctly rounded one.  u < 4.5e15, so u / 1e6 < 2**33, and half an ulp
+    of that quotient (at most 4.8e-7) is less than its 1e-6 distance from the next
+    integer: flooring it splits off the whole part exactly, and the same holds for
+    the smaller quotients by 1e3 below.  Returns None when the rows hold a value
+    where the proof fails: a non-finite value, |x| >= _FIXED_MAX, or a tie
+    |x|*1e6 = k + 0.5.
     """
     import numpy as np
 
-    magnitude = np.abs(rows)
-    if not np.all(magnitude < _FIXED_MAX):  # NaN fails the test too
+    scaled = np.empty((4, angles.size))  # one row per CSV column
+    scaled[0] = angles
+    scaled[1:] = coords
+    # the max and the min are NaN when any value is, and fail the test
+    if not (scaled.max() < _FIXED_MAX and -scaled.min() < _FIXED_MAX):
         return None
-    scaled = magnitude * 1e6
+    sign = np.signbit(scaled) * np.int16(2000)  # where a negative value's words start
+    scaled *= 1e6
+    np.abs(scaled, out=scaled)
     units = np.rint(scaled)
-    if not np.all(np.abs(scaled - units) < 0.5):
+    np.subtract(scaled, units, out=scaled)
+    np.abs(scaled, out=scaled)
+    if not scaled.max() < 0.5:
         return None
+    whole = scaled
+    np.divide(units, 1e6, out=whole)
+    np.floor(whole, out=whole)
+    whole *= 1e6  # exact: an integer below 2**53, and so is its quotient by 1e6
+    units -= whole  # the fraction's millionths
+    whole /= 1e6
     units_group, high_group, fraction_high, fraction_low = _csv_tables()
-    whole, fraction = np.divmod(units.astype(np.int64), 1_000_000)
-    groups = (len(str(whole.max())) + 2) // 3  # of the widest whole part
-    sign = np.signbit(rows) * 2000
-    words = np.empty(rows.shape + (groups + 2,), dtype=np.uint32)
-    above = whole  # the whole part without the groups rendered so far
-    for k in range(groups):
-        table = high_group if k else units_group
-        words[..., groups - 1 - k] = table[sign + above % 1000 + 1000 * (above >= 1000)]
-        above = above // 1000
-    high, low = np.divmod(fraction, 1000)
-    low[:, 3] += 1000  # the last column ends in the row's newline, the others in a comma
-    words[..., groups] = fraction_high[high]
-    words[..., groups + 1] = fraction_low[low]
-    return words.tobytes().translate(None, b"\0")
+    groups = (len(str(int(whole.max()))) + 2) // 3  # of the widest whole part
+    words = np.empty((angles.size, 4, groups + 2), dtype=np.uint32)
+    index = np.empty(words.shape[:2], dtype=np.intp)  # of the words' (row, column) order
+    column = index.T  # in the order of scaled
+    # each quotient is non-negative, so the cast to index truncates it to its floor
+    np.divide(units, 1e3, out=column, casting="unsafe")
+    words[..., groups] = fraction_high[index]
+    column *= -1000
+    np.add(column, units, out=column, casting="unsafe")
+    column[3] += 1000  # the last column ends in the row's newline, the others in a comma
+    words[..., groups + 1] = fraction_low[index]
+    # the 3-digit groups of the whole part from the units up, each zero-padded when a
+    # nonzero group follows; the top one is below 1000 and never padded
+    for k in range(groups - 1):
+        np.divide(whole, 1e3, out=column, casting="unsafe")
+        column *= -1000
+        np.add(column, whole, out=column, casting="unsafe")
+        column += (whole >= 1000) * np.int16(1000)
+        column += sign
+        words[..., groups - 1 - k] = (high_group if k else units_group)[index]
+        np.divide(whole, 1e3, out=whole)
+        np.floor(whole, out=whole)
+    np.add(whole, sign, out=column, casting="unsafe")
+    words[..., 0] = (high_group if groups > 1 else units_group)[index]
+    # each array goes before the next copy of the text is made, so that at most two
+    # copies are held at a time
+    del scaled, whole, units, index, column, sign
+    text = words.tobytes()
+    del words
+    return text.translate(None, b"\0")
 
 
 def _write_rows(handle, series: waveform.TransformedSeries) -> None:
     """Append the CSV rows of ``series`` to ``handle``, %.6f values comma-separated.
 
-    Rows are rendered a block at a time by :func:`_fixed_rows`; a block it
-    cannot prove exact is %-formatted instead.  Both give the bytes of
-    ``f"{x:.6f}"``, ``-0.000000`` included.
+    Each slice of waveform._CHUNK_ROWS rows is rendered in one call of
+    :func:`_fixed_rows`; a slice it cannot prove exact is %-formatted instead.
+    Both give the bytes of ``f"{x:.6f}"``, ``-0.000000`` included.
     """
     import numpy as np
 
-    for lo in range(0, len(series), _CSV_BLOCK_ROWS):
-        hi = lo + _CSV_BLOCK_ROWS
-        rows = np.vstack([series.angles[lo:hi], series.coords[:, lo:hi]]).T
-        text = _fixed_rows(rows)
+    step = waveform._CHUNK_ROWS
+    for lo in range(0, len(series), step):
+        angles, coords = series.angles[lo : lo + step], series.coords[:, lo : lo + step]
+        text = _fixed_rows(angles, coords)
         if text is None:
-            text = (_CSV_ROW * len(rows) % tuple(rows.ravel().tolist())).encode("ascii")
+            values = np.column_stack([angles, coords.T]).ravel().tolist()
+            text = (_CSV_ROW * len(angles) % tuple(values)).encode("ascii")
         handle.write(text)
 
 
@@ -236,6 +268,8 @@ def _write(out, files, chunks) -> list[str]:
     temporaries, the CSVs already renamed and the directories this call created are
     removed before the error propagates.
     """
+    import numpy as np
+
     made = []  # the directories makedirs creates, innermost first
     head = os.path.abspath(out)
     while not os.path.exists(head):
@@ -250,6 +284,12 @@ def _write(out, files, chunks) -> list[str]:
             handles = [stack.enter_context(open(temp, "wb")) for temp in temps]
             for handle, (_, header) in zip(handles, files):
                 handle.write(header.encode("ascii") + b"\n")
+            # glibc raises its mmap threshold to the size of a freed mmapped block and
+            # its heap trim threshold to twice that (mallopt(3)): once this untouched
+            # 1 MiB block is freed, each chunk's working set (about 1.3 MiB) comes from
+            # heap pages the chunk before left resident, instead of pages returned to
+            # the kernel and faulted in again; the block itself is never made resident
+            np.empty(1 << 17)
             for chunk in chunks:
                 # each series is dropped once written: the heap reuses its memory for the
                 # blocks after it instead of returning it, and the next chunk starts empty
@@ -285,9 +325,10 @@ def cmd_matrix(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Sample the scenario on its grid, run the requested pipelines and write their CSVs,
-    one chunk of sample_chunks at a time.  Each value depends only on its own sample, so the
-    bytes are those of the whole series, and memory beyond the 8-byte-per-sample grid
-    does not grow with --periods."""
+    one chunk of sample_chunks at a time, each CSV's rows of a chunk rendered in one call.
+    Each value depends only on its own sample, so the bytes are those of the whole series,
+    and memory beyond the 8-byte-per-sample grid is one chunk's working set, whatever
+    --periods is."""
     scenario = waveform.load_scenario(args.scenario)
     periods = args.periods
     if periods is None:
@@ -325,11 +366,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_measure(args) -> int:
     """Estimate the frame from the noisy grid rows around --t1-angle and a quarter period
-    later, then sample the grid again from row 0, add the same noise and write the CSV a
-    chunk at a time.  The estimate comes first, so a rejected one (exit 4 or 3) writes
-    nothing.  Each value and each row's noise draws depend only on the row, so the bytes
-    are those of the whole series, and memory beyond the 8-byte-per-sample grid does not
-    grow with --periods."""
+    later, sampling only the chunks that hold them (with noise, the chunks before them
+    draw their noise unsampled), then sample the grid from row 0, add the same noise and
+    write the CSV a chunk at a time.  The estimate comes first, so a rejected one (exit 4
+    or 3) writes nothing.  Each value and each row's noise draws depend only on the row,
+    so the bytes are those of the whole series, and memory beyond the 8-byte-per-sample
+    grid does not grow with --periods."""
     import numpy as np
 
     if not math.isfinite(args.t1_angle):
@@ -345,23 +387,25 @@ def cmd_measure(args) -> int:
     angles = waveform.sample_angles(args.rate, args.periods)
     rows = locus.stream_window(angles, args.t1_angle)
 
-    def measured(grid):
-        # the abc chunks of grid, each with its noise: grid row k gets draws 3k..3k+2 of a
-        # fresh default_rng(seed), so each pass from row 0 adds the same noise; a chunk's
-        # draws are freed before it is yielded
+    def measured(lo, hi):
+        # the abc chunks of grid rows lo..hi-1, lo on a chunk edge, each with its noise:
+        # grid row k gets draws 3k..3k+2 of a fresh default_rng(seed), so the chunks
+        # before lo draw theirs and drop them unsampled, and every pass adds the same
+        # noise; a chunk's draws are freed before it is yielded
         rng = np.random.default_rng(args.seed) if args.noise > 0.0 else None
-        for abc in waveform.sample_chunks(scenario, grid):
+        if rng is not None:
+            for _ in range(0, lo, waveform._CHUNK_ROWS):
+                rng.normal(0.0, args.noise, (waveform._CHUNK_ROWS, 3))
+        for abc in waveform.sample_chunks(scenario, angles[lo:hi]):
             if rng is not None:
                 np.add(abc.coords, rng.normal(0.0, args.noise, (len(abc), 3)).T, out=abc.coords)
             yield abc
 
-    # the noisy rows up to the window's end; the chunks that hold the window are kept
-    # and let go before the write
-    start = angles[rows.start]
-    tail = [abc.coords for abc in measured(angles[: rows.stop]) if abc.angles[-1] >= start]
-    window = np.hstack(tail)[:, rows.start - rows.stop :]
+    # the noisy chunks that hold the window, let go before the write
+    lo = rows.start - rows.start % waveform._CHUNK_ROWS
+    window = np.hstack([abc.coords for abc in measured(lo, rows.stop)])[:, rows.start - lo :]
     e1, e2 = locus.basis_from_window(angles[rows], window, args.t1_angle)
-    del tail, window
+    del window
     estimate = transform.assemble(locus.LocusBasis(e1, e2, args.t1_angle))
 
     # the reference probes come from the kernel that made the samples
@@ -370,7 +414,7 @@ def cmd_measure(args) -> int:
     deviation = float(np.max(np.abs(estimate.forward - analytic.forward)))
 
     files = [("V_abc_measured.csv", "t,Va,Vb,Vc")]
-    wrote = _write(args.out, files, ([abc] for abc in measured(angles)))
+    wrote = _write(args.out, files, ([abc] for abc in measured(0, angles.size)))
     print(
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",

@@ -28,9 +28,12 @@ STRUCTURAL_SHIFTS = (0.0, -TWO_PI / 3.0, TWO_PI / 3.0)
 #: largest amplitude: keeps |e1 x e2|^2, which grows as V^4, far inside the float range
 AMPLITUDE_MAX = 1e50
 
-#: grid rows that the streamed paths check, sample, map and write at a time: four of
-#: the CLI's 4096-row CSV blocks, and a multiple of every OpenBLAS unroll width
-_CHUNK_ROWS = 16384
+#: grid rows that the streamed paths check, sample, map, render and write at a time;
+#: a multiple of every OpenBLAS unroll width
+_CHUNK_ROWS = 4096
+
+#: (scenario, its gather tables) of the last scenario that evaluate_scenario sampled
+_last_tables = (None, None)
 
 
 class ScenarioError(ValueError):
@@ -215,6 +218,25 @@ def segment_at(scenario: PhasorScenario, angle: float) -> ScenarioSegment:
     return scenario.segments[bisect_right(starts, angle) - 1]
 
 
+def _gather_tables(scenario: PhasorScenario):
+    """(starts, amplitudes, phases) of the segments: a (K,) table and two (3, K) ones,
+    gathered per sample by :func:`evaluate_scenario`.  A PhasorScenario is immutable,
+    so the tables of the last scenario are kept, and a streamed run that samples
+    one scenario a chunk at a time builds them once."""
+    import numpy as np
+
+    global _last_tables
+    if _last_tables[0] is not scenario:
+        segments = scenario.segments
+        tables = (
+            np.array([s.start_angle for s in segments]),
+            np.array([s.amplitudes for s in segments]).T,
+            np.array([total_phases(s) for s in segments]).T,
+        )
+        _last_tables = (scenario, tables)
+    return _last_tables[1]
+
+
 def evaluate_scenario(scenario: PhasorScenario, angles) -> np.ndarray:
     """Evaluate a scenario on an angle grid, honoring segment switches.
 
@@ -230,12 +252,9 @@ def evaluate_scenario(scenario: PhasorScenario, angles) -> np.ndarray:
     # the max is NaN when any angle is
     if angles.size and not angles.max() < math.inf:
         raise ScenarioError(f"angles must be finite, got {angles.max()}")
-    segments = scenario.segments
-    starts = np.array([s.start_angle for s in segments])
+    starts, amps, phases = _gather_tables(scenario)
     index = np.searchsorted(starts, angles, side="right") - 1
-    # (3, K) tables gathered per sample; the same operations as evaluate
-    amps = np.array([s.amplitudes for s in segments]).T
-    phases = np.array([total_phases(s) for s in segments]).T
+    # the same operations as evaluate
     out = phases[:, index]
     out += angles
     np.cos(out, out=out)
@@ -260,7 +279,9 @@ def sample_angles(samples_per_period: int, periods: float) -> np.ndarray:
     span = math.inf  # when a rate past the float range fails the product itself
     try:
         span = samples_per_period * periods
-        return np.arange(math.ceil(span - 1e-9) + 1) * (TWO_PI / samples_per_period)
+        grid = np.arange(math.ceil(span - 1e-9) + 1, dtype=float)
+        grid *= TWO_PI / samples_per_period  # in place: no second grid-size array
+        return grid
     except (OverflowError, ValueError, MemoryError) as exc:
         # past the float range or numpy's size limit, or beyond the memory at hand
         raise ScenarioError(f"cannot allocate a grid of {span:.4g} samples") from exc

@@ -6,10 +6,12 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -34,7 +36,6 @@ from locusframe import cli, locus, transform, waveform
 from locusframe.locus import DEGENERACY_RTOL
 from locusframe.waveform import AMPLITUDE_MAX, TWO_PI
 from locusframe.cli import (
-    _CSV_BLOCK_ROWS,
     SIMULATE_FRAMES,
     build_parser,
     main,
@@ -935,7 +936,7 @@ def test_failed_write_prints_nothing(capsys, scenario_path, tmp_path, subcommand
 
 @pytest.mark.parametrize("out", ["new", "nested/new", "existing"], ids=["new", "nested", "existing"])
 def test_failure_mid_stream_leaves_nothing(capsys, monkeypatch, scenario_path, tmp_path, out):
-    # 20 periods are two chunks; the second fails after the first was written, and the
+    # 5 periods are two chunks; the second fails after the first was written, and the
     # run takes out its temporaries and the directories it made, but not an older CSV
     pipeline = transform.pipeline_clarke_park
     calls = []
@@ -951,11 +952,11 @@ def test_failure_mid_stream_leaves_nothing(capsys, monkeypatch, scenario_path, t
     if out == "existing":
         out_dir.mkdir()
         (out_dir / "V_abc.csv").write_bytes(b"older run\n")
-    argv = ["simulate", str(scenario_path), "--periods", "20", "--out", str(out_dir)]
+    argv = ["simulate", str(scenario_path), "--periods", "5", "--out", str(out_dir)]
     code, stdout, err = _run(capsys, argv)
     _assert_rejected(code, stdout, err)
     assert err == "error: out of memory\n"
-    assert calls == [waveform._CHUNK_ROWS, 20001 - waveform._CHUNK_ROWS]
+    assert calls == [waveform._CHUNK_ROWS, 5001 - waveform._CHUNK_ROWS]
     if out == "existing":
         assert [path.name for path in out_dir.iterdir()] == ["V_abc.csv"]
         assert (out_dir / "V_abc.csv").read_bytes() == b"older run\n"
@@ -973,7 +974,7 @@ def test_measure_failure_mid_stream_leaves_nothing(
 
     def exhausted_on_second_chunk(scenario, angles):
         calls.append(len(angles))
-        if len(angles) == 20001 - waveform._CHUNK_ROWS:
+        if len(angles) == 5001 - waveform._CHUNK_ROWS:
             raise MemoryError()
         return evaluate(scenario, angles)
 
@@ -982,13 +983,13 @@ def test_measure_failure_mid_stream_leaves_nothing(
     if out == "existing":
         out_dir.mkdir()
         (out_dir / "V_abc_measured.csv").write_bytes(b"older run\n")
-    argv = ["measure", str(scenario_path), "--periods", "20", "--noise", "0.01"]
+    argv = ["measure", str(scenario_path), "--periods", "5", "--noise", "0.01"]
     code, stdout, err = _run(capsys, [*argv, "--out", str(out_dir)])
     _assert_rejected(code, stdout, err)
     assert err == "error: out of memory\n"
     # the estimate's prefix, rows 0..251 up to the row after t2 = pi/2 (row 250), the
     # two reference probes, then the chunks from row 0
-    assert calls == [252, 2, waveform._CHUNK_ROWS, 20001 - waveform._CHUNK_ROWS]
+    assert calls == [252, 2, waveform._CHUNK_ROWS, 5001 - waveform._CHUNK_ROWS]
     if out == "existing":
         assert [path.name for path in out_dir.iterdir()] == ["V_abc_measured.csv"]
         assert (out_dir / "V_abc_measured.csv").read_bytes() == b"older run\n"
@@ -1019,9 +1020,12 @@ def test_rejected_estimate_comes_before_output(
         assert list(tmp_path.iterdir()) == []
 
 
+_CHUNK = waveform._CHUNK_ROWS
+#: a grid row on a chunk edge, four chunks from row 0
+_EDGE = 16384
 #: rate and start periods that put segment switches on samples 1024 (inside the first
-#: chunk), 16383 and 16384 (either side of the first chunk edge), and between samples
-#: 32767 and 32768 (next to the second)
+#: chunk), 16383 and 16384 (either side of the chunk edge at _EDGE), and between samples
+#: 32767 and 32768 (next to the one at 2 * _EDGE)
 _STREAM_RATE = 1024
 _STREAM_STARTS = (0.0, 1.0, 16383 / 1024, 16.0, 32767.5 / 1024)
 
@@ -1075,24 +1079,23 @@ def _streamed_csvs(capsys, directory, scenario_path, samples, flags):
     return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
-_CHUNK = waveform._CHUNK_ROWS
-
-
 @pytest.mark.parametrize(
     "samples, flags",
     [
         (1000, []),
-        (_CHUNK - 1, []),
-        (_CHUNK, []),
-        (_CHUNK + 1, ["--orientation", MAX_NORM, "--normalized", "--segment", "3"]),
-        (2 * _CHUNK - 1, ["--orientation", "angle:0.4", "--segment", "4"]),
-        (2 * _CHUNK, []),
-        (2 * _CHUNK + 1, ["--segment", "2"]),
+        (_EDGE - 1, []),
+        (_EDGE, []),
+        (_EDGE + 1, ["--orientation", MAX_NORM, "--normalized", "--segment", "3"]),
+        (2 * _EDGE - 1, ["--orientation", "angle:0.4", "--segment", "4"]),
+        (2 * _EDGE, []),
+        (2 * _EDGE + 1, ["--segment", "2"]),
     ],
 )
 def test_streamed_bytes_equal_whole_series(capsys, tmp_path, stream_scenario, samples, flags):
     # each value depends only on its own sample, so simulate's chunks write the bytes
-    # that the whole-series library path writes
+    # that the whole-series library path writes, over many chunk edges and up to,
+    # on and past the ones at _EDGE and 2 * _EDGE with switches beside them
+    assert _EDGE % _CHUNK == 0
     scenario = load_scenario(stream_scenario)
     (tmp_path / "library").mkdir()
     expected = _library_csvs(tmp_path / "library", scenario, samples, flags)
@@ -1109,7 +1112,7 @@ def test_streamed_bytes_equal_whole_series(capsys, tmp_path, stream_scenario, sa
 )
 def test_streamed_frames_subset(capsys, tmp_path, stream_scenario, frames):
     # the files of each --frames subset, over a chunk edge with a switch beside it
-    samples = _CHUNK + 1
+    samples = _EDGE + 1
     scenario = load_scenario(stream_scenario)
     (tmp_path / "library").mkdir()
     every = _library_csvs(tmp_path / "library", scenario, samples, [])
@@ -1151,22 +1154,31 @@ def _measured_whole_series(directory, out, scenario, rate, samples, t1, sigma, s
     return stdout, (directory / "V_abc_measured.csv").read_bytes()
 
 
-def _row(k):
-    """The angle of grid row ``k`` at _STREAM_RATE, as sample_angles computes it."""
-    return k * (TWO_PI / _STREAM_RATE)
+def _row(k, rate=_STREAM_RATE):
+    """The angle of grid row ``k`` at ``rate``, as sample_angles computes it."""
+    return k * (TWO_PI / rate)
 
 
 @pytest.mark.parametrize(
     "rate, samples, t1, sigma, t2_row",
     [
         pytest.param(1024, _CHUNK - 1, _row(1000.3), 0.01, None, id="inside a chunk"),
-        pytest.param(1024, _CHUNK, _row(_CHUNK - 257), 0.0, _CHUNK - 1, id="t2 on the last row"),
+        # pi/2 is 512 rows at 2048 per period; at 1024, no t1 gives t1 + pi/2 == _row(4095)
+        pytest.param(
+            2048, _CHUNK, _row(_CHUNK - 513, 2048), 0.0, _CHUNK - 1, id="t2 on the last row"
+        ),
         pytest.param(1024, _CHUNK + 1, 0.0, 0.0, 256, id="t1 on the first row"),
         pytest.param(1024, _CHUNK + 1, _row(_CHUNK - 256), 0.02, _CHUNK, id="t2 alone in a chunk"),
         pytest.param(1024, 2 * _CHUNK - 1, _row(_CHUNK - 100.5), 0.01, None, id="over a chunk edge"),
         pytest.param(1024, 2 * _CHUNK, _row(2 * _CHUNK - 300.7), 0.0, None, id="in the last chunk"),
-        pytest.param(1024, 2 * _CHUNK, _row(8192), 0.05, 8448, id="t2 on a grid row"),
+        pytest.param(
+            1024, 2 * _CHUNK, _row(_CHUNK // 2), 0.05, _CHUNK // 2 + 256, id="t2 on a grid row"
+        ),
         pytest.param(1024, 2 * _CHUNK + 1, _row(2 * _CHUNK - 256), 0.01, 2 * _CHUNK, id="last row"),
+        # the estimate samples the chunks from t1's alone; those before it only draw
+        pytest.param(
+            1024, 4 * _CHUNK + 1, _row(3 * _CHUNK + 100.5), 0.01, None, id="past the first chunks"
+        ),
         # the rows around t1 read on their own as fewer than 64 samples per period
         # (test_locus.test_window_can_fail_its_own_check); measure checks only the grid
         pytest.param(64, 128001, 9000.5, 0.01, None, id="window below the rate floor"),
@@ -1179,7 +1191,7 @@ def test_streamed_measure_equals_whole_series(
     # around t1 and t2 = t1 + pi/2 alone; its stdout and CSV are those of the whole series
     scenario = load_scenario(stream_scenario)
     if t2_row is not None:  # t2 hits a grid row exactly, and np.interp returns that row
-        assert t1 + 0.5 * math.pi == _row(t2_row)
+        assert t1 + 0.5 * math.pi == _row(t2_row, rate)
     out = tmp_path / "cli"
     library = tmp_path / "library"
     library.mkdir()
@@ -1239,6 +1251,94 @@ def test_late_t1_keeps_memory_flat(scenario_path, tmp_path):
     argv = ["measure", "--noise", "0.01", "--t1-angle"]
     peaks = [_peak_mib(scenario_path, tmp_path / t1, "400", [*argv, t1]) for t1 in ("3", "2500")]
     assert abs(peaks[1] - peaks[0]) < 4.0, peaks
+
+
+@pytest.mark.parametrize("noise", ["0", "0.01"])
+def test_estimate_samples_only_the_window_chunks(
+    capsys, monkeypatch, scenario_path, tmp_path, noise
+):
+    # the estimate samples the chunks that hold the rows around t1 = 200 and t2, not
+    # the chunks before them, which with noise only draw theirs; the CSV pass samples
+    # every chunk from row 0
+    evaluate = waveform.evaluate_scenario
+    calls = []
+
+    def spy(scenario, angles):
+        calls.append(len(angles))
+        return evaluate(scenario, angles)
+
+    monkeypatch.setattr(waveform, "evaluate_scenario", spy)
+    argv = ["measure", str(scenario_path), "--periods", "40", "--t1-angle", "200"]
+    code, _, err = _run(capsys, [*argv, "--noise", noise, "--out", str(tmp_path)])
+    assert (code, err) == (0, "")
+    rows = locus.stream_window(waveform.sample_angles(1000, 40.0), 200.0)
+    lo = rows.start - rows.start % _CHUNK
+    assert lo > 0 and rows.stop - lo <= _CHUNK
+    chunks = [_CHUNK] * (40001 // _CHUNK) + [40001 % _CHUNK]
+    assert calls == [rows.stop - lo, 2, *chunks]
+
+
+def test_streamed_simulate_working_set(capsys, monkeypatch, scenario_path, tmp_path):
+    # traced from the first chunk on, past the grid (0.8 MiB), the basis and _write's
+    # untouched 1 MiB block: sampling, both pipelines and the five CSV renders of one
+    # chunk at a time
+    sample_chunks = waveform.sample_chunks
+
+    def traced(*args):
+        tracemalloc.start()
+        yield from sample_chunks(*args)
+
+    monkeypatch.setattr(waveform, "sample_chunks", traced)
+    argv = ["simulate", str(scenario_path), "--periods", "100", "--out", str(tmp_path)]
+    try:
+        code, _, err = _run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's heap trimming")
+def test_streamed_simulate_reuses_heap_pages(scenario_path, tmp_path):
+    # in a fresh process, so the heap starts small; 25 chunks of about 330 fresh pages
+    # each would take over 8000 minor faults, reusing the first chunk's pages about 800
+    script = (
+        "import resource, sys\n"
+        "from locusframe import cli\n"
+        "import numpy\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "cli.main(['simulate', sys.argv[1], '--periods', '100', '--out', sys.argv[2]])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(scenario_path), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        check=True,
+    )
+    assert int(done.stdout.splitlines()[-1]) < 3000
+
+
+def test_streamed_simulate_builds_gather_tables_once(
+    capsys, monkeypatch, scenario_path, tmp_path
+):
+    # 20 periods are five chunks; each segment's phases go into the gather tables once,
+    # and no basis is built for these frames
+    total_phases = waveform.total_phases
+    folded = []
+
+    def spy(segment):
+        folded.append(segment)
+        return total_phases(segment)
+
+    monkeypatch.setattr(waveform, "total_phases", spy)
+    argv = ["simulate", str(scenario_path), "--periods", "20", "--frames", "abc,clarke"]
+    code, _, err = _run(capsys, [*argv, "--out", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert 20001 > 4 * _CHUNK
+    assert folded == list(load_scenario(scenario_path).segments)
 
 
 def test_numpy_random_loads_only_with_noise(scenario_path, tmp_path):
@@ -1542,15 +1642,15 @@ def test_golden_stdout(capsys, argv, stdout):
 
 
 def test_write_series_csv_matches_per_row_format(tmp_path):
-    # more than two blocks; signed zeros, values that round to -0.000000 or
+    # more than two chunks; signed zeros, values that round to -0.000000 or
     # 0.000001, and values above 100
-    n = 2 * _CSV_BLOCK_ROWS + 3
+    n = 2 * _CHUNK + 3
     rng = np.random.default_rng(5)
     coords = rng.uniform(-150.0, 150.0, size=(3, n))
     special = [-0.0, -4e-7, 5e-7, 0.0, 123.4567895, -100.0000005, 1e-7, -5e-7]
     coords[0, : len(special)] = special
     coords[1, -len(special) :] = special
-    coords[2, _CSV_BLOCK_ROWS - 4 : _CSV_BLOCK_ROWS + 4] = special
+    coords[2, _CHUNK - 4 : _CHUNK + 4] = special
     angles = np.arange(n) * (2.0 * math.pi / 1000.0) + 100.0
     series = TransformedSeries(angles, coords)
     path = tmp_path / "series.csv"
@@ -1605,18 +1705,18 @@ _TIES = (1000000.0000005, 0.0078125, 0.0234375)
     ],
 )
 def test_write_series_csv_exact_values(tmp_path, value, rendered):
-    # the value sits in every column of the rows either side of a block edge
-    # and of the last row; the middle of each block holds ordinary values
-    n = 2 * _CSV_BLOCK_ROWS + 3
+    # the value sits in every column of the rows either side of a chunk edge
+    # and of the last row; the middle of each chunk holds ordinary values
+    n = 2 * _CHUNK + 3
     coords = np.random.default_rng(9).uniform(-1500.0, 1500.0, size=(3, n))
     angles = np.arange(n) * (2.0 * math.pi / 1000.0)
-    edges = [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, n - 1]
+    edges = [_CHUNK - 1, _CHUNK, n - 1]
     coords[:, edges] = value
     path = tmp_path / "series.csv"
     write_series_csv(path, TransformedSeries(angles, coords), "t,Va,Vb,Vc")
     assert path.read_bytes() == _percent_csv("t,Va,Vb,Vc", angles, coords)
     # rendered from the word tables, or declined to %-formatting
-    assert (cli._fixed_rows(np.full((1, 4), value)) is not None) == rendered
+    assert (cli._fixed_rows(np.full(1, value), np.full((3, 1), value)) is not None) == rendered
 
 
 def _nudge(x: float, ulps: int) -> float:
@@ -1647,8 +1747,8 @@ def test_write_series_csv_matches_percent_format_property(values, tmp_path_facto
     coords = np.resize(np.array(values), 3 * n).reshape(3, n)
     angles = np.arange(n) * 0.125
     path = tmp_path_factory.getbasetemp() / "property.csv"
-    # blocks of two rows: one declined value leaves its neighbours rendered
-    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 2):
+    # slices of two rows: one declined value leaves its neighbours rendered
+    with mock.patch.object(waveform, "_CHUNK_ROWS", 2):
         write_series_csv(path, TransformedSeries(angles, coords), "t,Vd,Vq,V0")
     assert path.read_bytes() == _percent_csv("t,Vd,Vq,V0", angles, coords)
 

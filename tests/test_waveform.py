@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,21 @@ def test_sample_angles_grid():
     assert angles[0] == 0.0
     assert angles[-1] == pytest.approx(TWO_PI)
     assert np.diff(angles) == pytest.approx(TWO_PI / 1000)
+
+
+@pytest.mark.parametrize("rate", [4, 64, 1000, 7919])
+def test_sample_angles_builds_its_grid_in_place(rate):
+    # one float array scaled in place, 8 bytes a row, with the bits of the product of
+    # an integer arange and the step
+    tracemalloc.start()
+    try:
+        angles = sample_angles(rate, 1e6 / rate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert angles.size == 1_000_001
+    assert peak <= 8 * angles.size + 64 * 1024
+    assert np.array_equal(angles, np.arange(angles.size) * (TWO_PI / rate))
 
 
 def test_sample_angles_fractional_periods():
