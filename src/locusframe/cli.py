@@ -326,9 +326,9 @@ def cmd_matrix(args) -> int:
 def cmd_simulate(args) -> int:
     """Sample the scenario on its grid, run the requested pipelines and write their CSVs,
     one chunk of sample_chunks at a time, each CSV's rows of a chunk rendered in one call.
-    Each value depends only on its own sample, so the bytes are those of the whole series,
-    and memory beyond the 8-byte-per-sample grid is one chunk's working set, whatever
-    --periods is."""
+    Each value depends only on its own sample, so the bytes are those of the whole series.
+    The grid is an AngleGrid, whose rows each chunk makes when it reads them, so memory
+    is one chunk's working set, whatever --periods is."""
     scenario = waveform.load_scenario(args.scenario)
     periods = args.periods
     if periods is None:
@@ -336,7 +336,7 @@ def cmd_simulate(args) -> int:
     index = _pick_segment(scenario, args.segment)
 
     # the grid is checked (exit 2) before the basis (exit 3)
-    angles = waveform.sample_angles(args.rate, periods)
+    angles = waveform.AngleGrid(args.rate, periods)
     frames = args.frames
     frame = None
     if "locus123" in frames or "dq0" in frames:
@@ -370,8 +370,9 @@ def cmd_measure(args) -> int:
     draw their noise unsampled), then sample the grid from row 0, add the same noise and
     write the CSV a chunk at a time.  The estimate comes first, so a rejected one (exit 4
     or 3) writes nothing.  Each value and each row's noise draws depend only on the row,
-    so the bytes are those of the whole series, and memory beyond the 8-byte-per-sample
-    grid does not grow with --periods."""
+    so the bytes are those of the whole series.  The grid is an AngleGrid, whose rows
+    each chunk and the window make when they read them, so memory does not grow with
+    --periods."""
     import numpy as np
 
     if not math.isfinite(args.t1_angle):
@@ -384,7 +385,7 @@ def cmd_measure(args) -> int:
         raise ScenarioError(f"seed must be >= 0, got {args.seed}")
     scenario = waveform.load_scenario(args.scenario)
     # the grid is checked (exit 2, then exit 4) before any sample is taken
-    angles = waveform.sample_angles(args.rate, args.periods)
+    angles = waveform.AngleGrid(args.rate, args.periods)
     rows = locus.stream_window(angles, args.t1_angle)
 
     def measured(lo, hi):
@@ -396,7 +397,7 @@ def cmd_measure(args) -> int:
         if rng is not None:
             for _ in range(0, lo, waveform._CHUNK_ROWS):
                 rng.normal(0.0, args.noise, (waveform._CHUNK_ROWS, 3))
-        for abc in waveform.sample_chunks(scenario, angles[lo:hi]):
+        for abc in waveform.sample_chunks(scenario, angles, lo, hi):
             if rng is not None:
                 np.add(abc.coords, rng.normal(0.0, args.noise, (len(abc), 3)).T, out=abc.coords)
             yield abc
@@ -414,7 +415,7 @@ def cmd_measure(args) -> int:
     deviation = float(np.max(np.abs(estimate.forward - analytic.forward)))
 
     files = [("V_abc_measured.csv", "t,Va,Vb,Vc")]
-    wrote = _write(args.out, files, ([abc] for abc in measured(0, angles.size)))
+    wrote = _write(args.out, files, ([abc] for abc in measured(0, len(angles))))
     print(
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",
@@ -516,7 +517,7 @@ def main(argv=None) -> int:
         if isinstance(exc, locus.MeasurementError):
             return 4
         return 3 if isinstance(exc, locus.LocusError) else 2
-    except MemoryError as exc:  # past sample_angles' check: a gather table, the noise draw
+    except MemoryError as exc:  # past AngleGrid's size check: a gather table, the noise draw
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ independent of theta_o.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .waveform import (
@@ -235,13 +236,15 @@ def build_basis(segment: ScenarioSegment, orientation=PHASE_A_PEAK) -> LocusBasi
 
 
 def stream_window(angles, t1_angle: float) -> slice:
-    """Rows of a sampled angle grid that linear interpolation at t1_angle and
-    t1_angle + pi/2 reads, once the grid is checked for the estimate.
+    """Rows of a sampled angle grid, an array or a waveform.AngleGrid, that linear
+    interpolation at t1_angle and t1_angle + pi/2 reads, once the grid is checked for
+    the estimate.
 
     The grid must hold at least two samples, be uniformly sampled, carry at
     least MIN_STREAM_RATE samples per period and cover
     [t1_angle, t1_angle + pi/2], or MeasurementError is raised.  The checks
-    read _CHUNK_ROWS rows at a time, so they make no grid-size array.
+    read _CHUNK_ROWS rows at a time and the search for the two rows a few dozen
+    single rows, so none of them makes a grid-size array.
     """
     import numpy as np
 
@@ -270,9 +273,11 @@ def stream_window(angles, t1_angle: float) -> slice:
         )
     # np.interp reads rows k and k + 1 for the last k with angles[k] <= angle, the
     # first or last interval for an angle just outside the grid
-    k = np.searchsorted(angles, (t1_angle, t2_angle), side="right") - 1
-    first, last = np.clip(k, 0, len(angles) - 2)
-    return slice(int(first), int(last) + 2)
+    first, last = (
+        min(max(bisect_right(angles, angle) - 1, 0), len(angles) - 2)
+        for angle in (t1_angle, t2_angle)
+    )
+    return slice(first, last + 2)
 
 
 def basis_from_window(angles, coords, t1_angle: float) -> tuple[Triple, Triple]:

@@ -262,29 +262,60 @@ def evaluate_scenario(scenario: PhasorScenario, angles) -> np.ndarray:
     return out
 
 
-def sample_angles(samples_per_period: int, periods: float) -> np.ndarray:
+class AngleGrid(_Frozen):
     """Uniform angle grid with step 2pi/samples_per_period covering [0, 2pi*periods].
 
-    Raises ScenarioError for fewer than 4 samples per period, a span that is
-    not positive and finite, or a grid too large for numpy to allocate.
-    """
-    import numpy as np
+    ``size`` rows, row k being ``float(k) * step``, made when read: an index gives one
+    float, a slice an array, ``np.arange`` over its row numbers scaled by the step in
+    place.  Either holds the bits of the same rows of the grid read whole, and no
+    grid-size array is kept.
 
-    if samples_per_period < 4:
-        raise ScenarioError(
-            f"samples_per_period must be at least 4, got {samples_per_period}"
-        )
-    if not 0.0 < periods < math.inf:
-        raise ScenarioError(f"periods must be positive and finite, got {periods}")
-    span = math.inf  # when a rate past the float range fails the product itself
-    try:
-        span = samples_per_period * periods
-        grid = np.arange(math.ceil(span - 1e-9) + 1, dtype=float)
-        grid *= TWO_PI / samples_per_period  # in place: no second grid-size array
-        return grid
-    except (OverflowError, ValueError, MemoryError) as exc:
-        # past the float range or numpy's size limit, or beyond the memory at hand
-        raise ScenarioError(f"cannot allocate a grid of {span:.4g} samples") from exc
+    Raises ScenarioError for fewer than 4 samples per period, a span that is not
+    positive and finite, or a grid too large for numpy to allocate.  That check asks
+    numpy for the grid's block and drops it unwritten, so the block never becomes
+    resident.
+    """
+
+    __slots__ = ("size", "step")
+
+    def __init__(self, samples_per_period: int, periods: float):
+        import numpy as np
+
+        if samples_per_period < 4:
+            raise ScenarioError(
+                f"samples_per_period must be at least 4, got {samples_per_period}"
+            )
+        if not 0.0 < periods < math.inf:
+            raise ScenarioError(f"periods must be positive and finite, got {periods}")
+        span = math.inf  # when a rate past the float range fails the product itself
+        try:
+            span = samples_per_period * periods
+            size = math.ceil(span - 1e-9) + 1
+            np.empty(size)
+        except (OverflowError, ValueError, MemoryError) as exc:
+            # past the float range or numpy's size limit, or beyond the memory at hand
+            raise ScenarioError(f"cannot allocate a grid of {span:.4g} samples") from exc
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "step", TWO_PI / samples_per_period)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, key):
+        import numpy as np
+
+        rows = range(self.size)[key]
+        if isinstance(rows, int):
+            return float(rows) * self.step
+        block = np.arange(rows.start, rows.stop, rows.step, dtype=float)
+        block *= self.step  # in place: no second block-size array
+        return block
+
+
+def sample_angles(samples_per_period: int, periods: float) -> np.ndarray:
+    """The rows of ``AngleGrid(samples_per_period, periods)`` as one array; raises
+    ScenarioError as AngleGrid does."""
+    return AngleGrid(samples_per_period, periods)[:]
 
 
 def sample_series(
@@ -300,14 +331,16 @@ def sample_series(
     return TransformedSeries(angles, evaluate_scenario(scenario, angles))
 
 
-def sample_chunks(scenario: PhasorScenario, angles: np.ndarray):
-    """The abc series of a scenario on the grid ``angles``, _CHUNK_ROWS rows at a time.
+def sample_chunks(scenario: PhasorScenario, angles, lo: int = 0, hi: int | None = None):
+    """The abc series of a scenario on rows lo..hi-1 (hi None for the last) of the grid
+    ``angles``, an array or an AngleGrid, _CHUNK_ROWS rows at a time.
 
     Yields one TransformedSeries per chunk, in grid order; each value depends only
     on its own angle, so the chunks hold the rows of the whole series bit for bit.
     """
-    for lo in range(0, angles.size, _CHUNK_ROWS):
-        grid = angles[lo : lo + _CHUNK_ROWS]
+    hi = len(angles) if hi is None else hi
+    for start in range(lo, hi, _CHUNK_ROWS):
+        grid = angles[start : min(start + _CHUNK_ROWS, hi)]
         yield TransformedSeries(grid, evaluate_scenario(scenario, grid))
 
 

@@ -31,7 +31,7 @@ from locusframe import (
     wrap_angle,
 )
 from locusframe.locus import DEGENERACY_ATOL, DEGENERACY_RTOL, LocusBasis, stream_window
-from locusframe.waveform import PhasorScenario, TWO_PI, sample_angles, values_at
+from locusframe.waveform import AngleGrid, PhasorScenario, TWO_PI, sample_angles, values_at
 
 import support
 
@@ -428,11 +428,12 @@ class TestBasisFromStream:
 
 @st.composite
 def _stream_estimates(draw):
-    """(series, t1): random coordinates on a grid of 64 to 4096 samples per period, and
+    """(series, t1, grid): random coordinates on a grid of 64 to 4096 samples per period,
     t1 on a grid row, anywhere in between, with t2 on the last row, or within the span
-    check's 1e-12 slack before the first row."""
+    check's 1e-12 slack before the first row, and the grid as an AngleGrid."""
     rate = draw(st.integers(64, 4096))
-    angles = sample_angles(rate, draw(st.floats(0.3, 3.0)))
+    periods = draw(st.floats(0.3, 3.0))
+    angles, grid = sample_angles(rate, periods), AngleGrid(rate, periods)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     series = TransformedSeries(angles, rng.normal(size=(3, angles.size)))
     end = angles[-1] - 0.5 * math.pi
@@ -443,21 +444,29 @@ def _stream_estimates(draw):
         t1 = draw(st.floats(0.0, 1.0)) * end
     else:
         t1 = end if kind == "last" else -5e-13
-    return series, float(t1)
+    return series, float(t1), grid
 
 
 @settings(max_examples=300, deadline=None)
 @given(_stream_estimates())
-@example((sample_series(PhasorScenario(1.0, (support.unbalanced_segment(),)), 64, 1.0), 0.0))
+@example(
+    (
+        sample_series(PhasorScenario(1.0, (support.unbalanced_segment(),)), 64, 1.0),
+        0.0,
+        AngleGrid(64, 1.0),
+    )
+)
 def test_bracketing_rows_give_the_same_bits(case):
     # np.interp over the rows stream_window returns finds the interval, and the exact
-    # hit on a grid row, that it finds over the whole series
-    series, t1 = case
+    # hit on a grid row, that it finds over the whole series; the AngleGrid of the same
+    # rate and periods gives the same rows
+    series, t1, grid = case
     whole = tuple(
         tuple(float(np.interp(angle, series.angles, channel)) for channel in series.coords)
         for angle in (t1, t1 + 0.5 * math.pi)
     )
     rows = stream_window(series.angles, t1)
+    assert stream_window(grid, t1) == rows
     window = TransformedSeries(series.angles[rows], series.coords[:, rows])
     bits = np.array(whole).tobytes()
     assert np.array(basis_from_stream(series, t1)).tobytes() == bits

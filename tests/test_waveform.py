@@ -2,12 +2,16 @@
 
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import locusframe
 from locusframe import (
     PhasorScenario,
     PhasorTriple,
@@ -27,7 +31,7 @@ from locusframe import (
     total_phases,
     wrap_angle,
 )
-from locusframe.waveform import TWO_PI, sample_angles
+from locusframe.waveform import _CHUNK_ROWS, TWO_PI, AngleGrid, sample_angles
 
 import support
 
@@ -314,6 +318,65 @@ def test_sample_angles_fractional_periods():
 def test_sample_angles_too_large(periods, count):
     with pytest.raises(ScenarioError, match=rf"grid of {count} samples"):
         sample_angles(1000, periods)
+
+
+def _rows_by_index(grid, rows):
+    return np.array([grid[k] for k in rows]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rate, periods", [(4, 0.3), (64, 2.5), (1000, 8.0), (7919, 1.3)], ids=str
+)
+def test_angle_grid_rows_match_the_whole_grid(rate, periods):
+    # whole, a chunk at a time and row by row: the bits of np.arange(n) * step
+    grid = AngleGrid(rate, periods)
+    bits = (np.arange(len(grid), dtype=float) * (TWO_PI / rate)).tobytes()
+    assert grid[:].tobytes() == sample_angles(rate, periods).tobytes() == bits
+    chunks = [grid[lo : lo + _CHUNK_ROWS] for lo in range(0, len(grid), _CHUNK_ROWS)]
+    assert b"".join(chunk.tobytes() for chunk in chunks) == bits
+    assert _rows_by_index(grid, range(len(grid))) == bits
+    assert _rows_by_index(grid, [-1]) == bits[-8:]
+    with pytest.raises(IndexError):
+        grid[len(grid)]
+
+
+def test_angle_grid_far_rows():
+    # rows near 3e9, where the steps of the grid differ by an ulp; 24 GB if built, so
+    # the grid is restored from its fields, as pickle does, past the size check
+    grid = AngleGrid.__new__(AngleGrid)
+    grid.__setstate__((3_000_001_000, TWO_PI / 1000))
+    rows = range(3_000_000_000, 3_000_001_000)
+    bits = (np.arange(rows.start, rows.stop) * (TWO_PI / 1000)).tobytes()
+    assert grid[rows.start :].tobytes() == bits
+    assert grid[rows.start : rows.start + 10].tobytes() == bits[:80]
+    assert _rows_by_index(grid, rows) == bits
+    assert _rows_by_index(grid, [-1]) == bits[-8:]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_angle_grid_size_check_is_never_resident():
+    # 1e7 rows, 76 MiB if built: the check asks for the block and drops it unwritten
+    script = (
+        "from locusframe.waveform import AngleGrid\n"
+        "import numpy\n"
+        "def peak():\n"
+        "    status = open('/proc/self/status').read().splitlines()\n"
+        "    return int(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+        "before = peak()\n"
+        "grid = AngleGrid(1000, 1e4)\n"
+        "print(len(grid), peak() - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(locusframe.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    rows, grown = map(int, done.stdout.split())
+    assert rows == 10**7 + 1
+    assert grown < 4 * 1024, grown  # kB
 
 
 def test_sample_series_counts_and_values(step_scenario):
