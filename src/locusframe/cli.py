@@ -189,8 +189,8 @@ def _fixed_rows(angles: np.ndarray, coords: np.ndarray) -> bytes | None:
     return text.translate(None, b"\0")
 
 
-def _write_rows(handle, series: waveform.TransformedSeries) -> None:
-    """Append the CSV rows of ``series`` to ``handle``, %.6f values comma-separated.
+def _write_rows(handle, angles, coords) -> None:
+    """Append the CSV rows ``angles[i], *coords[:, i]`` to ``handle``, %.6f comma-separated.
 
     Each slice of waveform._CHUNK_ROWS rows is rendered in one call of
     :func:`_fixed_rows`; a slice it cannot prove exact is %-formatted instead.
@@ -199,12 +199,12 @@ def _write_rows(handle, series: waveform.TransformedSeries) -> None:
     import numpy as np
 
     step = waveform._CHUNK_ROWS
-    for lo in range(0, len(series), step):
-        angles, coords = series.angles[lo : lo + step], series.coords[:, lo : lo + step]
-        text = _fixed_rows(angles, coords)
+    for lo in range(0, angles.size, step):
+        rows, block = angles[lo : lo + step], coords[:, lo : lo + step]
+        text = _fixed_rows(rows, block)
         if text is None:
-            values = np.column_stack([angles, coords.T]).ravel().tolist()
-            text = (_CSV_ROW * len(angles) % tuple(values)).encode("ascii")
+            values = np.column_stack([rows, block.T]).ravel().tolist()
+            text = (_CSV_ROW * rows.size % tuple(values)).encode("ascii")
         handle.write(text)
 
 
@@ -212,7 +212,7 @@ def write_series_csv(path, series: waveform.TransformedSeries, header: str) -> N
     """Write a series as CSV: ``header``, then the rows of :func:`_write_rows`."""
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii") + b"\n")
-        _write_rows(handle, series)
+        _write_rows(handle, series.angles, series.coords)
 
 
 def _segment_degeneracy(segment):
@@ -259,9 +259,9 @@ def _frame(args, scenario, index: int):
 
 
 def _write(out, files, chunks) -> list[str]:
-    """Write one CSV in ``out`` per ``(name, header)`` of ``files``, its rows the
-    matching series of each list that ``chunks`` yields, and return the ``wrote <path>``
-    lines for the caller to print.
+    """Write one CSV in ``out`` per ``(name, header)`` of ``files``, its rows those of the
+    matching (3, n) block of each ``(angles, [block, ...])`` that ``chunks`` yields, and
+    return the ``wrote <path>`` lines for the caller to print.
 
     All or nothing: each CSV is written under a temporary name and renamed once the last
     chunk is written.  On any failure, making ``out`` or computing a chunk included, the
@@ -290,11 +290,12 @@ def _write(out, files, chunks) -> list[str]:
             # heap pages the chunk before left resident, instead of pages returned to
             # the kernel and faulted in again; the block itself is never made resident
             np.empty(1 << 17)
-            for chunk in chunks:
-                # each series is dropped once written: the heap reuses its memory for the
+            for angles, blocks in chunks:
+                # each block is dropped once written: the heap reuses its memory for the
                 # blocks after it instead of returning it, and the next chunk starts empty
                 for handle in handles:
-                    _write_rows(handle, chunk.pop(0))
+                    _write_rows(handle, angles, blocks.pop(0))
+                del angles
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
             done.append(path)
@@ -324,11 +325,11 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    """Sample the scenario on its grid, run the requested pipelines and write their CSVs,
-    one chunk of sample_chunks at a time, each CSV's rows of a chunk rendered in one call.
-    Each value depends only on its own sample, so the bytes are those of the whole series.
-    The grid is an AngleGrid, whose rows each chunk makes when it reads them, so memory
-    is one chunk's working set, whatever --periods is."""
+    """Sample the scenario on its grid a chunk of sample_chunks at a time, map and rotate
+    each chunk into the requested frames in one transform.map_rotate call, and render each
+    CSV's rows of the chunk in one call.  Each value depends only on its own sample, so the
+    bytes are those of the whole series.  The grid is an AngleGrid, whose rows each chunk
+    makes when it reads them, so memory is one chunk's working set, whatever --periods is."""
     scenario = waveform.load_scenario(args.scenario)
     periods = args.periods
     if periods is None:
@@ -338,26 +339,23 @@ def cmd_simulate(args) -> int:
     # the grid is checked (exit 2) before the basis (exit 3)
     angles = waveform.AngleGrid(args.rate, periods)
     frames = args.frames
-    frame = None
-    if "locus123" in frames or "dq0" in frames:
-        _, frame = _frame(args, scenario, index)
     label = orientation_label(args.orientation)
-    # each CSV of a chunk's (abc, locus123, locus dq0, alpha-beta-0, Clarke dq0)
-    outputs = [
-        ("abc" in frames, "V_abc.csv", "t,Va,Vb,Vc"),
-        ("locus123" in frames, f"V_123_{label}.csv", "t,V1,V2,V3"),
-        ("dq0" in frames, f"V_dq0_{label}.csv", "t,Vd,Vq,V0"),
-        ("clarke" in frames, "V_ab0_clarke.csv", "t,Valpha,Vbeta,V0"),
-        ("clarke" in frames and "dq0" in frames, "V_dq0_clarke.csv", "t,Vd,Vq,V0"),
-    ]
+    # (wanted, name, header) of each block of a chunk: abc, then each forward's map and dq0
+    outputs = [("abc" in frames, "V_abc.csv", "t,Va,Vb,Vc")]
+    forwards = []
+    if "locus123" in frames or "dq0" in frames:
+        forwards.append(_frame(args, scenario, index)[1].forward)
+        outputs.append(("locus123" in frames, f"V_123_{label}.csv", "t,V1,V2,V3"))
+        outputs.append(("dq0" in frames, f"V_dq0_{label}.csv", "t,Vd,Vq,V0"))
+    if "clarke" in frames:
+        forwards.append(transform.clarke_matrix())
+        outputs.append((True, "V_ab0_clarke.csv", "t,Valpha,Vbeta,V0"))
+        outputs.append(("dq0" in frames, "V_dq0_clarke.csv", "t,Vd,Vq,V0"))
 
     def chunk(abc):
-        series = [abc, None, None, None, None]
-        if frame is not None:
-            series[1:3] = transform.pipeline_locus(abc, frame)
-        if "clarke" in frames:
-            series[3:5] = transform.pipeline_clarke_park(abc)
-        return [one for one, (wanted, _, _) in zip(series, outputs) if wanted]
+        pairs = transform.map_rotate(abc.angles, abc.coords, forwards) if forwards else []
+        blocks = [abc.coords, *(block for pair in pairs for block in pair)]
+        return abc.angles, [block for block, (wanted, _, _) in zip(blocks, outputs) if wanted]
 
     files = [(name, header) for wanted, name, header in outputs if wanted]
     print(*_write(args.out, files, map(chunk, waveform.sample_chunks(scenario, angles))), sep="\n")
@@ -415,7 +413,8 @@ def cmd_measure(args) -> int:
     deviation = float(np.max(np.abs(estimate.forward - analytic.forward)))
 
     files = [("V_abc_measured.csv", "t,Va,Vb,Vc")]
-    wrote = _write(args.out, files, ([abc] for abc in measured(0, len(angles))))
+    chunks = ((abc.angles, [abc.coords]) for abc in measured(0, len(angles)))
+    wrote = _write(args.out, files, chunks)
     print(
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",

@@ -103,6 +103,10 @@ def clarke_matrix() -> np.ndarray:
     )
 
 
+def _turn(c, s, x, y):
+    return c * x + s * y, c * y - s * x
+
+
 def park_rotate(angle, pair):
     """Synchronous-frame projection of an in-plane pair.
 
@@ -112,24 +116,19 @@ def park_rotate(angle, pair):
     import numpy as np
 
     x, y = pair
-    c = np.cos(angle)
-    s = np.sin(angle)
-    return c * x + s * y, c * y - s * x
+    return _turn(np.cos(angle), np.sin(angle), x, y)
 
 
-def _rotated(abc: TransformedSeries, coords):
-    """(mapped series, dq0 series) of ``coords``, a frame's map of the samples of ``abc``.
-
-    The synchronous rotation angle equals the grid angle, i.e. it is null at
-    the series start; the third channel passes through unchanged.
-    """
+def map_rotate(angles, coords, forwards):
+    """[(mapped, dq0), ...] of the (3, n) abc samples ``coords`` at the grid ``angles``,
+    one pair per 3x3 matrix of ``forwards``: ``forward @ coords``, and its in-plane pair
+    turned as :func:`park_rotate` does by one cosine and sine of ``angles`` for all the
+    matrices, with the third channel passed through."""
     import numpy as np
 
-    d, q = park_rotate(abc.angles, (coords[0], coords[1]))
-    return (
-        TransformedSeries(abc.angles, coords),
-        TransformedSeries(abc.angles, np.vstack([d, q, coords[2]])),
-    )
+    c, s = np.cos(angles), np.sin(angles)
+    maps = (forward @ coords for forward in forwards)  # one at a time: a lower peak
+    return [(m, np.vstack([*_turn(c, s, m[0], m[1]), m[2]])) for m in maps]
 
 
 def pipeline_locus(abc: TransformedSeries, frame: FrameTransform):
@@ -137,7 +136,8 @@ def pipeline_locus(abc: TransformedSeries, frame: FrameTransform):
 
     Returns (locus123 series, dq0 series).
     """
-    return _rotated(abc, apply(frame, abc.coords))
+    (pair,) = map_rotate(abc.angles, abc.coords, [frame.forward])
+    return tuple(TransformedSeries(abc.angles, coords) for coords in pair)
 
 
 def pipeline_clarke_park(abc: TransformedSeries):
@@ -146,4 +146,5 @@ def pipeline_clarke_park(abc: TransformedSeries):
     Returns (alpha-beta-0 series, dq0 series).  The zero channel is
     (v_a + v_b + v_c) / 3, the third Clarke row.
     """
-    return _rotated(abc, clarke_matrix() @ abc.coords)
+    (pair,) = map_rotate(abc.angles, abc.coords, [clarke_matrix()])
+    return tuple(TransformedSeries(abc.angles, coords) for coords in pair)

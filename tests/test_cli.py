@@ -938,16 +938,16 @@ def test_failed_write_prints_nothing(capsys, scenario_path, tmp_path, subcommand
 def test_failure_mid_stream_leaves_nothing(capsys, monkeypatch, scenario_path, tmp_path, out):
     # 5 periods are two chunks; the second fails after the first was written, and the
     # run takes out its temporaries and the directories it made, but not an older CSV
-    pipeline = transform.pipeline_clarke_park
+    map_rotate = transform.map_rotate
     calls = []
 
-    def exhausted_on_second_chunk(abc):
-        calls.append(len(abc))
+    def exhausted_on_second_chunk(angles, coords, forwards):
+        calls.append(len(angles))
         if len(calls) == 2:
             raise MemoryError()
-        return pipeline(abc)
+        return map_rotate(angles, coords, forwards)
 
-    monkeypatch.setattr(transform, "pipeline_clarke_park", exhausted_on_second_chunk)
+    monkeypatch.setattr(transform, "map_rotate", exhausted_on_second_chunk)
     out_dir = tmp_path / out
     if out == "existing":
         out_dir.mkdir()
@@ -1340,6 +1340,38 @@ def test_streamed_simulate_builds_gather_tables_once(
     assert (code, err) == (0, "")
     assert 20001 > 4 * _CHUNK
     assert folded == list(load_scenario(scenario_path).segments)
+
+
+@pytest.mark.parametrize(
+    "frames, rotated",
+    [("abc,locus123,clarke,dq0", True), ("clarke", True), ("abc", False)],
+    ids=["all", "clarke", "abc"],
+)
+def test_streamed_simulate_rotates_once_per_chunk(
+    capsys, monkeypatch, scenario_path, tmp_path, frames, rotated
+):
+    # 10 periods are three chunks, each of whose angles gets one cosine and one sine for
+    # every frame together; evaluate_scenario's cosine acts on (3, n) blocks, not on 1-D
+    # angles
+    calls = []
+
+    def spy(name):
+        ufunc = getattr(np, name)
+
+        def counted(x, *args, **kwargs):
+            if np.ndim(x) == 1:
+                calls.append((name, len(x)))
+            return ufunc(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+
+    spy("cos")
+    spy("sin")
+    argv = ["simulate", str(scenario_path), "--periods", "10", "--frames", frames]
+    code, _, err = _run(capsys, [*argv, "--out", str(tmp_path)])
+    assert (code, err) == (0, "")
+    sizes = [_CHUNK, _CHUNK, 10001 - 2 * _CHUNK]
+    assert calls == ([(name, n) for n in sizes for name in ("cos", "sin")] if rotated else [])
 
 
 def test_numpy_random_loads_only_with_noise(scenario_path, tmp_path):

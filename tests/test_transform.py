@@ -23,6 +23,7 @@ from locusframe import (
     pipeline_clarke_park,
     pipeline_locus,
 )
+from locusframe.transform import map_rotate
 from locusframe.waveform import TWO_PI, sample_angles
 
 import support
@@ -301,6 +302,24 @@ class TestPipelineLocus:
         angles = sample_angles(200, 1.0)
         expected = manual.forward @ evaluate(unbalanced_segment, angles)
         assert series.coords == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4096, 4097])
+def test_map_rotate_equals_apply_then_park_rotate(unbalanced_segment, n):
+    # bit for bit, which the %.6f text of the streamed-bytes tests could hide: each frame
+    # of one call, the locus frame and Clarke (as a frame with its rows), against the
+    # one-frame path of apply and park_rotate
+    frame = assemble(build_basis(unbalanced_segment, MAX_NORM))
+    clarke = frame._replace(rows=tuple(map(tuple, clarke_matrix().tolist())))
+    angles = np.arange(n) * (TWO_PI / 1000.0)
+    coords = evaluate(unbalanced_segment, angles)
+    pairs = map_rotate(angles, coords, [frame.forward, clarke_matrix()])
+    assert len(pairs) == 2
+    for one, (mapped, dq0) in zip([frame, clarke], pairs):
+        expected = apply(one, coords)
+        d, q = park_rotate(angles, (expected[0], expected[1]))
+        assert np.array_equal(mapped, expected)
+        assert np.array_equal(dq0, np.vstack([d, q, expected[2]]))
 
 
 class TestPipelineClarkePark:
