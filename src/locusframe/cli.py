@@ -352,10 +352,11 @@ def cmd_simulate(args) -> int:
         outputs.append((True, "V_ab0_clarke.csv", "t,Valpha,Vbeta,V0"))
         outputs.append(("dq0" in frames, "V_dq0_clarke.csv", "t,Vd,Vq,V0"))
 
-    def chunk(abc):
-        pairs = transform.map_rotate(abc.angles, abc.coords, forwards) if forwards else []
-        blocks = [abc.coords, *(block for pair in pairs for block in pair)]
-        return abc.angles, [block for block, (wanted, _, _) in zip(blocks, outputs) if wanted]
+    def chunk(sampled):
+        grid, abc = sampled
+        pairs = transform.map_rotate(grid, abc, forwards) if forwards else []
+        blocks = [abc, *(block for pair in pairs for block in pair)]
+        return grid, [block for block, (wanted, _, _) in zip(blocks, outputs) if wanted]
 
     files = [(name, header) for wanted, name, header in outputs if wanted]
     print(*_write(args.out, files, map(chunk, waveform.sample_chunks(scenario, angles))), sep="\n")
@@ -364,13 +365,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_measure(args) -> int:
     """Estimate the frame from the noisy grid rows around --t1-angle and a quarter period
-    later, sampling only the chunks that hold them (with noise, the chunks before them
-    draw their noise unsampled), then sample the grid from row 0, add the same noise and
-    write the CSV a chunk at a time.  The estimate comes first, so a rejected one (exit 4
-    or 3) writes nothing.  Each value and each row's noise draws depend only on the row,
-    so the bytes are those of the whole series.  The grid is an AngleGrid, whose rows
-    each chunk and the window make when they read them, so memory does not grow with
-    --periods."""
+    later, sampling those rows alone (with noise, the rows before them draw their noise
+    unsampled), then sample the grid from row 0, add the same noise and write the CSV a
+    chunk of sample_chunks at a time.  The estimate comes first, so a rejected one (exit
+    4 or 3) writes nothing.  Each value and each row's noise draws depend only on the
+    row, so the bytes are those of the whole series.  The grid is an AngleGrid, whose
+    rows each chunk and the window make when they read them, so memory does not grow
+    with --periods."""
     import numpy as np
 
     if not math.isfinite(args.t1_angle):
@@ -386,25 +387,23 @@ def cmd_measure(args) -> int:
     angles = waveform.AngleGrid(args.rate, args.periods)
     rows = locus.stream_window(angles, args.t1_angle)
 
-    def measured(lo, hi):
-        # the abc chunks of grid rows lo..hi-1, lo on a chunk edge, each with its noise:
-        # grid row k gets draws 3k..3k+2 of a fresh default_rng(seed), so the chunks
-        # before lo draw theirs and drop them unsampled, and every pass adds the same
-        # noise; a chunk's draws are freed before it is yielded
-        rng = np.random.default_rng(args.seed) if args.noise > 0.0 else None
+    def noisy(rng, coords):
+        # coords, shape (3, n), of the n grid rows after those rng drew for, with their
+        # noise added in place; rng is None for a noiseless run
         if rng is not None:
-            for _ in range(0, lo, waveform._CHUNK_ROWS):
-                rng.normal(0.0, args.noise, (waveform._CHUNK_ROWS, 3))
-        for abc in waveform.sample_chunks(scenario, angles, lo, hi):
-            if rng is not None:
-                np.add(abc.coords, rng.normal(0.0, args.noise, (len(abc), 3)).T, out=abc.coords)
-            yield abc
+            np.add(coords, rng.normal(0.0, args.noise, (coords.shape[1], 3)).T, out=coords)
+        return coords
 
-    # the noisy chunks that hold the window, let go before the write
-    lo = rows.start - rows.start % waveform._CHUNK_ROWS
-    window = np.hstack([abc.coords for abc in measured(lo, rows.stop)])[:, rows.start - lo :]
-    e1, e2 = locus.basis_from_window(angles[rows], window, args.t1_angle)
-    del window
+    # grid row k gets draws 3k..3k+2 of a fresh default_rng(seed), so each pass makes its
+    # own and adds the same noise; a noiseless run makes none
+    rng = np.random.default_rng(args.seed) if args.noise > 0.0 else None
+    if rng is not None:  # the rows before the window draw theirs, a chunk at a time
+        for lo in range(0, rows.start, waveform._CHUNK_ROWS):
+            rng.normal(0.0, args.noise, (min(waveform._CHUNK_ROWS, rows.start - lo), 3))
+    grid = angles[rows]
+    window = noisy(rng, waveform.evaluate_scenario(scenario, grid))
+    e1, e2 = locus.basis_from_window(grid, window, args.t1_angle)
+    del grid, window  # let go before the write
     estimate = transform.assemble(locus.LocusBasis(e1, e2, args.t1_angle))
 
     # the reference probes come from the kernel that made the samples
@@ -413,7 +412,8 @@ def cmd_measure(args) -> int:
     deviation = float(np.max(np.abs(estimate.forward - analytic.forward)))
 
     files = [("V_abc_measured.csv", "t,Va,Vb,Vc")]
-    chunks = ((abc.angles, [abc.coords]) for abc in measured(0, len(angles)))
+    rng = np.random.default_rng(args.seed) if args.noise > 0.0 else None
+    chunks = ((grid, [noisy(rng, abc)]) for grid, abc in waveform.sample_chunks(scenario, angles))
     wrote = _write(args.out, files, chunks)
     print(
         f"samples per period: {args.rate}",

@@ -23,7 +23,6 @@ from .waveform import (
     ScenarioSegment,
     TransformedSeries,
     Triple,
-    _CHUNK_ROWS,
     _Frozen,
     total_phases,
     values_at,
@@ -236,31 +235,20 @@ def build_basis(segment: ScenarioSegment, orientation=PHASE_A_PEAK) -> LocusBasi
 
 
 def stream_window(angles, t1_angle: float) -> slice:
-    """Rows of a sampled angle grid, an array or a waveform.AngleGrid, that linear
-    interpolation at t1_angle and t1_angle + pi/2 reads, once the grid is checked for
-    the estimate.
+    """Rows of a uniform angle grid, an array or a waveform.AngleGrid, that linear
+    interpolation at t1_angle and t1_angle + pi/2 reads.
 
-    The grid must hold at least two samples, be uniformly sampled, carry at
-    least MIN_STREAM_RATE samples per period and cover
-    [t1_angle, t1_angle + pi/2], or MeasurementError is raised.  The checks
-    read _CHUNK_ROWS rows at a time and the search for the two rows a few dozen
-    single rows, so none of them makes a grid-size array.
+    The grid is taken as uniform and increasing, as an AngleGrid is by construction and
+    basis_from_stream checks an array to be.  It must hold at least two samples, carry
+    at least MIN_STREAM_RATE samples per period over its span and cover
+    [t1_angle, t1_angle + pi/2], or MeasurementError is raised.  Only its ends and the
+    few dozen single rows of the search are read, so no grid-size array is made.
     """
-    import numpy as np
-
     t2_angle = t1_angle + 0.5 * math.pi
     if len(angles) < 2:
         raise MeasurementError("series holds fewer than two samples")
-    step = angles[1] - angles[0]
-    # the steps of np.arange(n) * step differ from the first by up to an ulp of the
-    # largest angle, which an ascending grid holds at an end; an infinite end fails
-    slack = 1e-9 + math.ulp(max(abs(angles[0]), abs(angles[-1])))
-    if step <= 0.0 or not slack < math.inf or any(
-        np.any(np.abs(np.diff(angles[lo : lo + _CHUNK_ROWS + 1]) - step) > slack)
-        for lo in range(0, len(angles) - 1, _CHUNK_ROWS)
-    ):
-        raise MeasurementError("series is not uniformly sampled")
-    rate = TWO_PI / step
+    # from the mean step: one step far from 0 is rounded to an ulp of its angles
+    rate = TWO_PI * (len(angles) - 1) / (angles[-1] - angles[0])
     if rate < MIN_STREAM_RATE - 1e-9:
         raise MeasurementError(
             f"{rate:.1f} samples per period; need at least {MIN_STREAM_RATE}"
@@ -283,8 +271,8 @@ def stream_window(angles, t1_angle: float) -> slice:
 def basis_from_window(angles, coords, t1_angle: float) -> tuple[Triple, Triple]:
     """e1, e2 linearly interpolated at t1_angle and t1_angle + pi/2 from the rows
     ``angles``, ``coords`` (shape (3, n)) of a grid that stream_window checked and
-    cut.  Nothing is checked again: a window's own first step can differ from the
-    grid's by an ulp of its angles."""
+    cut.  Nothing is checked again: a far window's span is rounded to an ulp of its
+    angles, so on its own it can read below the rate floor that the grid passed."""
     import numpy as np
 
     return tuple(
@@ -297,9 +285,21 @@ def basis_from_stream(series: TransformedSeries, t1_angle: float) -> tuple[Tripl
     """Estimate the in-plane basis from a uniformly sampled abc series.
 
     Linearly interpolates the series at t1_angle and t1_angle + pi/2, giving
-    two float triples; the implied orientation angle is t1_angle.  The series
-    must pass the checks of stream_window, or MeasurementError is raised, and
-    only the rows it returns are read.
+    two float triples; the implied orientation angle is t1_angle.  Each step of
+    the series must lie within 1e-9 plus one ulp of its largest angle of the
+    first, and the series must pass the checks of stream_window, or
+    MeasurementError is raised; past the checks, only the rows that
+    stream_window returns are read.
     """
-    rows = stream_window(series.angles, t1_angle)
-    return basis_from_window(series.angles[rows], series.coords[:, rows], t1_angle)
+    import numpy as np
+
+    angles = series.angles
+    # the angles of a TransformedSeries are finite and increasing; the steps of
+    # np.arange(n) * step differ from the first by up to an ulp of the larger end
+    if angles.size >= 2:  # stream_window rejects a shorter series
+        steps = np.diff(angles)
+        slack = 1e-9 + math.ulp(max(abs(angles[0]), abs(angles[-1])))
+        if np.any(np.abs(steps - steps[0]) > slack):
+            raise MeasurementError("series is not uniformly sampled")
+    rows = stream_window(angles, t1_angle)
+    return basis_from_window(angles[rows], series.coords[:, rows], t1_angle)

@@ -28,7 +28,7 @@ STRUCTURAL_SHIFTS = (0.0, -TWO_PI / 3.0, TWO_PI / 3.0)
 #: largest amplitude: keeps |e1 x e2|^2, which grows as V^4, far inside the float range
 AMPLITUDE_MAX = 1e50
 
-#: grid rows that the streamed paths check, sample, map, render and write at a time;
+#: grid rows that the streamed paths sample, map, render and write at a time;
 #: a multiple of every OpenBLAS unroll width
 _CHUNK_ROWS = 4096
 
@@ -331,17 +331,14 @@ def sample_series(
     return TransformedSeries(angles, evaluate_scenario(scenario, angles))
 
 
-def sample_chunks(scenario: PhasorScenario, angles, lo: int = 0, hi: int | None = None):
-    """The abc series of a scenario on rows lo..hi-1 (hi None for the last) of the grid
-    ``angles``, an array or an AngleGrid, _CHUNK_ROWS rows at a time.
-
-    Yields one TransformedSeries per chunk, in grid order; each value depends only
-    on its own angle, so the chunks hold the rows of the whole series bit for bit.
-    """
-    hi = len(angles) if hi is None else hi
-    for start in range(lo, hi, _CHUNK_ROWS):
-        grid = angles[start : min(start + _CHUNK_ROWS, hi)]
-        yield TransformedSeries(grid, evaluate_scenario(scenario, grid))
+def sample_chunks(scenario: PhasorScenario, angles):
+    """The abc series of a scenario on the grid ``angles``, an array or an AngleGrid, as
+    one ``(angles, coords)`` pair of arrays per _CHUNK_ROWS rows, in grid order, coords of
+    shape (3, n).  Each value depends only on its own angle, so the chunks hold the rows
+    of the whole series bit for bit."""
+    for lo in range(0, len(angles), _CHUNK_ROWS):
+        grid = angles[lo : lo + _CHUNK_ROWS]
+        yield grid, evaluate_scenario(scenario, grid)
 
 
 def _require(mapping, key, where):

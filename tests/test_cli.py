@@ -1175,12 +1175,12 @@ def _row(k, rate=_STREAM_RATE):
             1024, 2 * _CHUNK, _row(_CHUNK // 2), 0.05, _CHUNK // 2 + 256, id="t2 on a grid row"
         ),
         pytest.param(1024, 2 * _CHUNK + 1, _row(2 * _CHUNK - 256), 0.01, 2 * _CHUNK, id="last row"),
-        # the estimate samples the chunks from t1's alone; those before it only draw
+        # the estimate samples the rows around t1 and t2 alone; those before only draw
         pytest.param(
             1024, 4 * _CHUNK + 1, _row(3 * _CHUNK + 100.5), 0.01, None, id="past the first chunks"
         ),
-        # the rows around t1 read on their own as fewer than 64 samples per period
-        # (test_locus.test_window_can_fail_its_own_check); measure checks only the grid
+        # the first step of the rows around t1 is an ulp above the grid's and reads as
+        # 64.0 - 8e-8 samples per period; measure reads the rate of the grid's span alone
         pytest.param(64, 128001, 9000.5, 0.01, None, id="window below the rate floor"),
     ],
 )
@@ -1247,20 +1247,19 @@ def test_peak_memory_flat_in_periods(scenario_path, tmp_path, argv):
 
 @_READS_VMHWM
 def test_late_t1_keeps_memory_flat(scenario_path, tmp_path):
-    # the estimate samples every row up to t2 but keeps only the chunks around t1 and
-    # t2; keeping the prefix of t1 = 2500, about 398 000 rows, would add about 12 MiB
+    # the estimate draws the noise of every row before t1 but keeps only the rows around
+    # t1 and t2; keeping the prefix of t1 = 2500, about 398 000 rows, would add about 12 MiB
     argv = ["measure", "--noise", "0.01", "--t1-angle"]
     peaks = [_peak_mib(scenario_path, tmp_path / t1, "400", [*argv, t1]) for t1 in ("3", "2500")]
     assert abs(peaks[1] - peaks[0]) < 4.0, peaks
 
 
 @pytest.mark.parametrize("noise", ["0", "0.01"])
-def test_estimate_samples_only_the_window_chunks(
+def test_estimate_samples_only_the_window_rows(
     capsys, monkeypatch, scenario_path, tmp_path, noise
 ):
-    # the estimate samples the chunks that hold the rows around t1 = 200 and t2, not
-    # the chunks before them, which with noise only draw theirs; the CSV pass samples
-    # every chunk from row 0
+    # the estimate samples the rows around t1 = 200 and t2 alone, not the rows before
+    # them, which with noise only draw theirs; the CSV pass samples every chunk from row 0
     evaluate = waveform.evaluate_scenario
     calls = []
 
@@ -1273,10 +1272,9 @@ def test_estimate_samples_only_the_window_chunks(
     code, _, err = _run(capsys, [*argv, "--noise", noise, "--out", str(tmp_path)])
     assert (code, err) == (0, "")
     rows = locus.stream_window(waveform.sample_angles(1000, 40.0), 200.0)
-    lo = rows.start - rows.start % _CHUNK
-    assert lo > 0 and rows.stop - lo <= _CHUNK
+    assert rows.start > _CHUNK
     chunks = [_CHUNK] * (40001 // _CHUNK) + [40001 % _CHUNK]
-    assert calls == [rows.stop - lo, 2, *chunks]
+    assert calls == [rows.stop - rows.start, 2, *chunks]
 
 
 def test_streamed_simulate_working_set(capsys, monkeypatch, scenario_path, tmp_path):

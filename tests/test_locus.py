@@ -425,6 +425,12 @@ class TestBasisFromStream:
         with pytest.raises(MeasurementError, match="uniform"):
             basis_from_stream(gapped, 0.0)
 
+    def test_uniformity_is_checked_before_rate_and_span(self, unbalanced_segment):
+        series = sample_series(self._scenario(unbalanced_segment), 32, 1.0)
+        gapped = TransformedSeries(np.delete(series.angles, 5), np.delete(series.coords, 5, axis=1))
+        with pytest.raises(MeasurementError, match="uniform"):
+            basis_from_stream(gapped, 6.0)
+
 
 @st.composite
 def _stream_estimates(draw):
@@ -486,23 +492,64 @@ def test_grid_check_makes_no_grid_size_array():
     assert peak < 2 * 2**20, peak
 
 
+def test_grid_is_read_not_scanned():
+    # stream_window reads the ends and the rows its two searches visit, whatever the size
+    class Counting:
+        reads = 0
+
+        def __init__(self, grid):
+            self.grid = grid
+
+        def __len__(self):
+            return len(self.grid)
+
+        def __getitem__(self, key):
+            Counting.reads += 1
+            return self.grid[key]
+
+    assert stream_window(Counting(AngleGrid(1000, 1000)), 1.0) == slice(159, 411)
+    assert Counting.reads <= 64, Counting.reads
+
+
 def test_far_grid_is_uniform_to_an_ulp():
     # near 1.9e7 rad the steps of np.arange(n) * step differ from the first by one ulp,
     # 3.7e-9, more than the 1e-9 the check allows on its own
     angles = np.arange(3_000_000_000, 3_000_001_000) * (TWO_PI / 1000)
     step = angles[1] - angles[0]
     assert np.abs(np.diff(angles) - step).max() == np.spacing(angles[-1]) > 1e-9
-    assert stream_window(angles, float(angles[10])) == slice(10, 261)
+    coords = np.random.default_rng(5).normal(size=(3, angles.size))
+    t1 = float(angles[10])
+    whole = tuple(
+        tuple(float(np.interp(t, angles, channel)) for channel in coords)
+        for t in (t1, t1 + 0.5 * math.pi)
+    )
+    assert basis_from_stream(TransformedSeries(angles, coords), t1) == whole
+
+
+def test_far_series_at_the_rate_floor_passes():
+    # 40 rows at exactly 64 samples per period from rows 140000..150000 on: a single
+    # step there is rounded to an ulp of its angles and can read as 64.0 - 2e-9 samples
+    # per period, the mean step over the span cannot
+    rejected = []
+    for first in range(140_000, 150_000, 7):
+        angles = np.arange(first, first + 40) * (TWO_PI / 64)
+        try:
+            basis_from_stream(TransformedSeries(angles, np.ones((3, 40))), float(angles[0]))
+        except MeasurementError as exc:
+            rejected.append((first, str(exc)))
+    assert rejected == []
 
 
 def test_window_can_fail_its_own_check():
-    # near 9000 rad at 64 samples per period the window's first step is an ulp above the
-    # grid's, which reads as 64.0 - 8e-8 samples per period: basis_from_window, not
-    # basis_from_stream, estimates from the rows of a grid that passed
-    angles = sample_angles(64, 2000)
-    rows = stream_window(angles, 9000.5)
+    # near 525000 rad at 64 samples per period the span of the window's 18 rows is
+    # rounded to an ulp of its angles and reads as 64 - 4e-9 samples per period, while
+    # the grid's span reads 64: basis_from_window, not basis_from_stream, estimates
+    # from the rows of a grid that passed
+    grid = AngleGrid(64, 100_000)
+    rows = stream_window(grid, 525000.5)
+    assert rows.stop - rows.start == 18
     with pytest.raises(MeasurementError, match="samples per period"):
-        stream_window(angles[rows], 9000.5)
+        stream_window(grid[rows], 525000.5)
 
 
 def test_basis_from_vectors_round_trip(unbalanced_segment):
