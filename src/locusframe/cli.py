@@ -268,8 +268,6 @@ def _write(out, files, chunks) -> list[str]:
     temporaries, the CSVs already renamed and the directories this call created are
     removed before the error propagates.
     """
-    import numpy as np
-
     made = []  # the directories makedirs creates, innermost first
     head = os.path.abspath(out)
     while not os.path.exists(head):
@@ -284,12 +282,6 @@ def _write(out, files, chunks) -> list[str]:
             handles = [stack.enter_context(open(temp, "wb")) for temp in temps]
             for handle, (_, header) in zip(handles, files):
                 handle.write(header.encode("ascii") + b"\n")
-            # glibc raises its mmap threshold to the size of a freed mmapped block and
-            # its heap trim threshold to twice that (mallopt(3)): once this untouched
-            # 1 MiB block is freed, each chunk's working set (about 1.3 MiB) comes from
-            # heap pages the chunk before left resident, instead of pages returned to
-            # the kernel and faulted in again; the block itself is never made resident
-            np.empty(1 << 17)
             for angles, blocks in chunks:
                 # each block is dropped once written: the heap reuses its memory for the
                 # blocks after it instead of returning it, and the next chunk starts empty

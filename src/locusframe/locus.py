@@ -247,16 +247,21 @@ def stream_window(angles, t1_angle: float) -> slice:
     t2_angle = t1_angle + 0.5 * math.pi
     if len(angles) < 2:
         raise MeasurementError("series holds fewer than two samples")
-    # from the mean step: one step far from 0 is rounded to an ulp of its angles
-    rate = TWO_PI * (len(angles) - 1) / (angles[-1] - angles[0])
-    if rate < MIN_STREAM_RATE - 1e-9:
+    # from the mean step: one step far from 0 is rounded to an ulp of its angles, and
+    # the span to an ulp of its larger end, which reads as a rate lower by
+    # MIN_STREAM_RATE * ulp / span at the floor
+    start, end = angles[0], angles[-1]
+    span = end - start
+    rate = TWO_PI * (len(angles) - 1) / span
+    slack = 1e-9 + MIN_STREAM_RATE * math.ulp(max(abs(start), abs(end))) / span
+    if rate < MIN_STREAM_RATE - slack:
         raise MeasurementError(
             f"{rate:.1f} samples per period; need at least {MIN_STREAM_RATE}"
         )
     # false for a NaN angle too
-    if not (angles[0] - 1e-12 <= t1_angle and t2_angle <= angles[-1] + 1e-12):
+    if not (start - 1e-12 <= t1_angle and t2_angle <= end + 1e-12):
         raise MeasurementError(
-            f"series spans [{angles[0]:.6g}, {angles[-1]:.6g}] rad, "
+            f"series spans [{start:.6g}, {end:.6g}] rad, "
             f"estimation needs [{t1_angle:.6g}, {t2_angle:.6g}]"
         )
     # np.interp reads rows k and k + 1 for the last k with angles[k] <= angle, the
@@ -271,8 +276,7 @@ def stream_window(angles, t1_angle: float) -> slice:
 def basis_from_window(angles, coords, t1_angle: float) -> tuple[Triple, Triple]:
     """e1, e2 linearly interpolated at t1_angle and t1_angle + pi/2 from the rows
     ``angles``, ``coords`` (shape (3, n)) of a grid that stream_window checked and
-    cut.  Nothing is checked again: a far window's span is rounded to an ulp of its
-    angles, so on its own it can read below the rate floor that the grid passed."""
+    cut.  Nothing is checked again."""
     import numpy as np
 
     return tuple(

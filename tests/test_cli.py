@@ -800,6 +800,18 @@ class TestFrameGate:
         assert "|e1| = 1.239257e+49  |e2| = 2.390448e+49" in outputs[1]
         assert "\ninverse:\n 1.000e+49 " in outputs[1]
 
+    def test_negative_zeros_print_as_zeros(self, capsys, tmp_path):
+        # a -0.0 start or amplitude printed as -0.000000 and flipped the sign of printed
+        # zeros in both matrices of this segment
+        outputs = []
+        for zero in (0.0, -0.0):
+            doc = _one_segment_doc((1.0, zero, 0.5), (0.0, 0.0, 30.0))
+            doc["segments"][0]["start_periods"] = zero
+            path = _write_scenario(tmp_path, json.dumps(doc))
+            outputs.append([_run(capsys, [cmd, str(path)]) for cmd in ("validate", "matrix")])
+        assert outputs[1] == outputs[0]
+        assert "start 0.000000 periods, amplitudes 1.000000 0.000000 0.500000" in outputs[0][0][1]
+
     def test_overflowing_noise_rejected(self, capsys, scenario_path, tmp_path):
         out_dir = tmp_path / "out"
         argv = ["measure", str(scenario_path), "--noise", "1e300", "--out", str(out_dir)]
@@ -1278,9 +1290,8 @@ def test_estimate_samples_only_the_window_rows(
 
 
 def test_streamed_simulate_working_set(capsys, monkeypatch, scenario_path, tmp_path):
-    # traced from the first chunk on, past the grid's size check, the basis and _write's
-    # untouched 1 MiB block: sampling, both pipelines and the five CSV renders of one
-    # chunk at a time
+    # traced from the first chunk on, past the grid's size check and the basis: sampling,
+    # both pipelines and the five CSV renders of one chunk at a time
     sample_chunks = waveform.sample_chunks
 
     def traced(*args):

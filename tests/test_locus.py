@@ -540,16 +540,25 @@ def test_far_series_at_the_rate_floor_passes():
     assert rejected == []
 
 
-def test_window_can_fail_its_own_check():
-    # near 525000 rad at 64 samples per period the span of the window's 18 rows is
-    # rounded to an ulp of its angles and reads as 64 - 4e-9 samples per period, while
-    # the grid's span reads 64: basis_from_window, not basis_from_stream, estimates
-    # from the rows of a grid that passed
+@pytest.mark.parametrize("rows", [18, 40, 200])
+def test_far_window_at_the_rate_floor_passes(rows):
+    # far from 0 a window's span is rounded to an ulp of its larger end: 18 rows from
+    # row 905978835 at exactly 64 samples per period read 63.99999965, which an
+    # absolute slack of 1e-9 rejected; 63 samples per period still fail
+    for first in np.random.default_rng(5).integers(1e8, 3e9, 3000):
+        angles = np.arange(first, first + rows) * (TWO_PI / 64)
+        basis_from_stream(TransformedSeries(angles, np.ones((3, rows))), float(angles[0]))
+        coarse = np.arange(first, first + rows) * (TWO_PI / 63)
+        with pytest.raises(MeasurementError, match="63.0 samples per period"):
+            stream_window(coarse, float(coarse[0]))
+
+
+def test_window_passes_its_own_check():
+    # near 525000 rad the window of a grid that passed passes on its own too
     grid = AngleGrid(64, 100_000)
     rows = stream_window(grid, 525000.5)
     assert rows.stop - rows.start == 18
-    with pytest.raises(MeasurementError, match="samples per period"):
-        stream_window(grid[rows], 525000.5)
+    assert stream_window(grid[rows], 525000.5) == slice(0, 18)
 
 
 def test_basis_from_vectors_round_trip(unbalanced_segment):

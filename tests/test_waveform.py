@@ -72,6 +72,11 @@ class TestScenarioSegment:
         assert segment.phase_offsets[0] == pytest.approx(math.pi)
         assert segment.phase_offsets[2] == math.pi
 
+    def test_negative_zeros_stored_as_zeros(self):
+        segment = ScenarioSegment(-0.0, (1.0, -0.0, -0.0), (0.0, 0.0, 0.5))
+        stored = (segment.start_angle, *segment.amplitudes)
+        assert [math.copysign(1.0, x) for x in stored] == [1.0] * 4
+
     def test_structural_shifts_not_stored(self, unbalanced_segment):
         assert unbalanced_segment.phase_offsets == pytest.approx(
             support.UNBALANCED_OFFSETS
