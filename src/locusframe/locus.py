@@ -255,8 +255,10 @@ def stream_window(angles, t1_angle: float) -> slice:
     rate = TWO_PI * (len(angles) - 1) / span
     slack = 1e-9 + MIN_STREAM_RATE * math.ulp(max(abs(start), abs(end))) / span
     if rate < MIN_STREAM_RATE - slack:
+        # one decimal that never reads as the floor: 63.99 would round to 64.0
+        shown = min(round(rate, 1), MIN_STREAM_RATE - 0.1)
         raise MeasurementError(
-            f"{rate:.1f} samples per period; need at least {MIN_STREAM_RATE}"
+            f"{shown:.1f} samples per period; need at least {MIN_STREAM_RATE}"
         )
     # false for a NaN angle too
     if not (start - 1e-12 <= t1_angle and t2_angle <= end + 1e-12):

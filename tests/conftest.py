@@ -8,7 +8,8 @@ from locusframe import PhasorScenario, ScenarioSegment
 
 import support
 
-SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "unbalance_step.json"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIO_PATH = SCENARIOS / "unbalance_step.json"
 
 
 @pytest.fixture
@@ -36,6 +37,11 @@ def step_scenario():
 @pytest.fixture
 def scenario_path():
     return SCENARIO_PATH
+
+
+@pytest.fixture
+def degenerate_loci_path():
+    return SCENARIOS / "degenerate_loci.json"
 
 
 @pytest.fixture

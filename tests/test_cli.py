@@ -173,6 +173,12 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    def test_segment_not_an_object(self, capsys, tmp_path):
+        path = _write_scenario(tmp_path, json.dumps({"frequency_hz": 50.0, "segments": [1]}))
+        code, out, err = _run(capsys, ["validate", str(path)])
+        _assert_rejected(code, out, err)
+        assert err == "error: segments[0] must be a JSON object\n"
+
     def test_non_increasing_segments(self, capsys, tmp_path):
         bad = tmp_path / "order.json"
         bad.write_text(
@@ -473,6 +479,12 @@ class TestSimulate:
             capsys, ["simulate", str(scenario_path), "--frames", "abc,xyz", "--out", str(tmp_path)]
         )
         assert "'xyz'" in err
+
+    def test_empty_frame_list(self, capsys, scenario_path, tmp_path):
+        err = _assert_usage_rejected(
+            capsys, ["simulate", str(scenario_path), "--frames", ",", "--out", str(tmp_path)]
+        )
+        assert err == "error: argument --frames: no frames requested\n"
 
     def test_non_integer_rate_flag(self, capsys, scenario_path, tmp_path):
         err = _assert_usage_rejected(
@@ -1635,6 +1647,8 @@ def interpreter_modules():
         ),
         # the [degenerate] branch, where the basis gate rejects the segment
         pytest.param("degenerate_scenario_path", ["validate"], id="validate degenerate"),
+        # five segments, three of them rejected, each by a different test of the gate
+        pytest.param("degenerate_loci_path", ["validate"], id="validate degenerate_loci.json"),
         # what every locusframe process pays before its subcommand runs
         pytest.param(None, None, id="import locusframe.cli"),
     ],
@@ -1645,7 +1659,7 @@ def test_validate_and_matrix_import_no_numpy(request, interpreter_modules, scena
     else:
         path = request.getfixturevalue(scenario)
         done, imported = _importtime(["-m", "locusframe.cli", argv[0], str(path), *argv[1:]])
-    assert ("[degenerate]" in done.stdout) == (scenario == "degenerate_scenario_path")
+    assert ("[degenerate]" in done.stdout) == (scenario or "").startswith("degenerate")
     assert "locusframe.transform" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
     # dataclasses would bring inspect, ast, dis and tokenize into every process

@@ -553,6 +553,18 @@ def test_far_window_at_the_rate_floor_passes(rows):
             stream_window(coarse, float(coarse[0]))
 
 
+@pytest.mark.parametrize(
+    "rate, shown", [(63.99, "63.9"), (63.9999, "63.9"), (63.0, "63.0"), (32.0, "32.0")]
+)
+def test_rejected_rate_never_reads_as_the_floor(rate, shown):
+    # a rate just below 64 rounds to 64.0 at one decimal
+    angles = np.arange(200) * (TWO_PI / rate)
+    series = TransformedSeries(angles, np.ones((3, 200)))
+    with pytest.raises(MeasurementError) as excinfo:
+        basis_from_stream(series, 0.0)
+    assert str(excinfo.value) == f"{shown} samples per period; need at least 64"
+
+
 def test_window_passes_its_own_check():
     # near 525000 rad the window of a grid that passed passes on its own too
     grid = AngleGrid(64, 100_000)

@@ -52,6 +52,13 @@ def test_wrap_angle_interval():
 
 
 class TestScenarioSegment:
+    @pytest.mark.parametrize(
+        "amplitudes, offsets", [((1.0, 1.0), (0.0, 0.0, 0.0)), ((1.0, 1.0, 1.0), (0.0,) * 4)]
+    )
+    def test_three_values_each_required(self, amplitudes, offsets):
+        with pytest.raises(ScenarioError, match="must each hold three values"):
+            ScenarioSegment(0.0, amplitudes, offsets)
+
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ScenarioError):
             ScenarioSegment(0.0, (1.0, -0.1, 1.0), (0.0, 0.0, 0.0))
@@ -112,6 +119,8 @@ def _records():
 def test_record_frozen_and_copyable(kind):
     field, record = _records()[kind]
     assert type(record).__name__ == kind
+    # another type is not equal, not an error
+    assert (record == 3) is False
     with pytest.raises(AttributeError):
         setattr(record, field, 1.0)
     with pytest.raises(AttributeError):
