@@ -29,8 +29,10 @@ STRUCTURAL_SHIFTS = (0.0, -TWO_PI / 3.0, TWO_PI / 3.0)
 AMPLITUDE_MAX = 1e50
 
 #: grid rows that the streamed paths sample, map, render and write at a time;
-#: a multiple of every OpenBLAS unroll width
-_CHUNK_ROWS = 4096
+#: a multiple of every OpenBLAS unroll width.  A chunk's arrays take about 0.68 MiB
+#: of simulate's heap and 0.49 MiB of a noisy measure's, against 1.27 and 0.85 MiB
+#: at 4096 rows (tracemalloc from the first chunk, --periods 100)
+_CHUNK_ROWS = 2048
 
 #: (scenario, its gather tables) of the last scenario that evaluate_scenario sampled
 _last_tables = (None, None)

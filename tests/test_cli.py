@@ -958,10 +958,19 @@ def test_failed_write_prints_nothing(capsys, scenario_path, tmp_path, subcommand
     assert [path.name for path in tmp_path.iterdir()] == [taken]
 
 
+_CHUNK = waveform._CHUNK_ROWS
+
+
+def _chunk_sizes(rows):
+    """The row counts of the chunks that the streamed paths cut ``rows`` grid rows into."""
+    return [min(_CHUNK, rows - lo) for lo in range(0, rows, _CHUNK)]
+
+
 @pytest.mark.parametrize("out", ["new", "nested/new", "existing"], ids=["new", "nested", "existing"])
 def test_failure_mid_stream_leaves_nothing(capsys, monkeypatch, scenario_path, tmp_path, out):
-    # 5 periods are two chunks; the second fails after the first was written, and the
-    # run takes out its temporaries and the directories it made, but not an older CSV
+    # 5 periods are more than one chunk; the second fails after the first was written,
+    # and the run takes out its temporaries and the directories it made, but not an
+    # older CSV
     map_rotate = transform.map_rotate
     calls = []
 
@@ -980,7 +989,8 @@ def test_failure_mid_stream_leaves_nothing(capsys, monkeypatch, scenario_path, t
     code, stdout, err = _run(capsys, argv)
     _assert_rejected(code, stdout, err)
     assert err == "error: out of memory\n"
-    assert calls == [waveform._CHUNK_ROWS, 5001 - waveform._CHUNK_ROWS]
+    assert len(_chunk_sizes(5001)) > 1
+    assert calls == _chunk_sizes(5001)[:2]
     if out == "existing":
         assert [path.name for path in out_dir.iterdir()] == ["V_abc.csv"]
         assert (out_dir / "V_abc.csv").read_bytes() == b"older run\n"
@@ -998,7 +1008,7 @@ def test_measure_failure_mid_stream_leaves_nothing(
 
     def exhausted_on_second_chunk(scenario, angles):
         calls.append(len(angles))
-        if len(angles) == 5001 - waveform._CHUNK_ROWS:
+        if len(calls) == 4:  # after the estimate's two calls and the first chunk
             raise MemoryError()
         return evaluate(scenario, angles)
 
@@ -1012,8 +1022,9 @@ def test_measure_failure_mid_stream_leaves_nothing(
     _assert_rejected(code, stdout, err)
     assert err == "error: out of memory\n"
     # the estimate's prefix, rows 0..251 up to the row after t2 = pi/2 (row 250), the
-    # two reference probes, then the chunks from row 0
-    assert calls == [252, 2, waveform._CHUNK_ROWS, 5001 - waveform._CHUNK_ROWS]
+    # two reference probes, then the first two chunks from row 0
+    assert len(_chunk_sizes(5001)) > 1
+    assert calls == [252, 2, *_chunk_sizes(5001)[:2]]
     if out == "existing":
         assert [path.name for path in out_dir.iterdir()] == ["V_abc_measured.csv"]
         assert (out_dir / "V_abc_measured.csv").read_bytes() == b"older run\n"
@@ -1044,8 +1055,7 @@ def test_rejected_estimate_comes_before_output(
         assert list(tmp_path.iterdir()) == []
 
 
-_CHUNK = waveform._CHUNK_ROWS
-#: a grid row on a chunk edge, four chunks from row 0
+#: a grid row on a chunk edge, many chunks from row 0
 _EDGE = 16384
 #: rate and start periods that put segment switches on samples 1024 (inside the first
 #: chunk), 16383 and 16384 (either side of the chunk edge at _EDGE), and between samples
@@ -1297,13 +1307,11 @@ def test_estimate_samples_only_the_window_rows(
     assert (code, err) == (0, "")
     rows = locus.stream_window(waveform.sample_angles(1000, 40.0), 200.0)
     assert rows.start > _CHUNK
-    chunks = [_CHUNK] * (40001 // _CHUNK) + [40001 % _CHUNK]
-    assert calls == [rows.stop - rows.start, 2, *chunks]
+    assert calls == [rows.stop - rows.start, 2, *_chunk_sizes(40001)]
 
 
-def test_streamed_simulate_working_set(capsys, monkeypatch, scenario_path, tmp_path):
-    # traced from the first chunk on, past the grid's size check and the basis: sampling,
-    # both pipelines and the five CSV renders of one chunk at a time
+def _peak_from_first_chunk(capsys, monkeypatch, argv):
+    """The traced heap peak of a streamed run of ``argv``, from its first chunk on."""
     sample_chunks = waveform.sample_chunks
 
     def traced(*args):
@@ -1311,20 +1319,37 @@ def test_streamed_simulate_working_set(capsys, monkeypatch, scenario_path, tmp_p
         yield from sample_chunks(*args)
 
     monkeypatch.setattr(waveform, "sample_chunks", traced)
-    argv = ["simulate", str(scenario_path), "--periods", "100", "--out", str(tmp_path)]
     try:
         code, _, err = _run(capsys, argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (code, err) == (0, "")
-    assert peak < 2 * 2**20, peak
+    return peak
+
+
+def test_streamed_simulate_working_set(capsys, monkeypatch, scenario_path, tmp_path):
+    # traced from the first chunk on, past the grid's size check and the basis: sampling,
+    # both pipelines and the five CSV renders of one chunk at a time; about 0.68 MiB with
+    # chunks of 2048 rows, 1.27 MiB with 4096
+    argv = ["simulate", str(scenario_path), "--periods", "100", "--out", str(tmp_path)]
+    peak = _peak_from_first_chunk(capsys, monkeypatch, argv)
+    assert peak < 2**20, peak
+
+
+def test_streamed_measure_working_set(capsys, monkeypatch, scenario_path, tmp_path):
+    # traced from the first chunk of the CSV pass on, after the estimate: sampling, the
+    # noise draws and the render of one chunk at a time; about 0.49 MiB with chunks of
+    # 2048 rows, 0.85 MiB with 4096
+    argv = ["measure", str(scenario_path), "--periods", "100", "--noise", "0.01"]
+    peak = _peak_from_first_chunk(capsys, monkeypatch, [*argv, "--out", str(tmp_path)])
+    assert peak < 0.7 * 2**20, peak
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's heap trimming")
 def test_streamed_simulate_reuses_heap_pages(scenario_path, tmp_path):
-    # in a fresh process, so the heap starts small; 25 chunks of about 330 fresh pages
-    # each would take over 8000 minor faults, reusing the first chunk's pages about 800
+    # in a fresh process, so the heap starts small; 49 chunks of about 170 fresh pages
+    # each would take over 8000 minor faults, reusing the first chunk's pages about 350
     script = (
         "import resource, sys\n"
         "from locusframe import cli\n"
@@ -1346,8 +1371,8 @@ def test_streamed_simulate_reuses_heap_pages(scenario_path, tmp_path):
 def test_streamed_simulate_builds_gather_tables_once(
     capsys, monkeypatch, scenario_path, tmp_path
 ):
-    # 20 periods are five chunks; each segment's phases go into the gather tables once,
-    # and no basis is built for these frames
+    # 20 periods are more than four chunks; each segment's phases go into the gather
+    # tables once, and no basis is built for these frames
     total_phases = waveform.total_phases
     folded = []
 
@@ -1371,9 +1396,9 @@ def test_streamed_simulate_builds_gather_tables_once(
 def test_streamed_simulate_rotates_once_per_chunk(
     capsys, monkeypatch, scenario_path, tmp_path, frames, rotated
 ):
-    # 10 periods are three chunks, each of whose angles gets one cosine and one sine for
-    # every frame together; evaluate_scenario's cosine acts on (3, n) blocks, not on 1-D
-    # angles
+    # 10 periods are several chunks, each of whose angles gets one cosine and one sine
+    # for every frame together; evaluate_scenario's cosine acts on (3, n) blocks, not on
+    # 1-D angles
     calls = []
 
     def spy(name):
@@ -1391,7 +1416,8 @@ def test_streamed_simulate_rotates_once_per_chunk(
     argv = ["simulate", str(scenario_path), "--periods", "10", "--frames", frames]
     code, _, err = _run(capsys, [*argv, "--out", str(tmp_path)])
     assert (code, err) == (0, "")
-    sizes = [_CHUNK, _CHUNK, 10001 - 2 * _CHUNK]
+    sizes = _chunk_sizes(10001)
+    assert len(sizes) > 2
     assert calls == ([(name, n) for n in sizes for name in ("cos", "sin")] if rotated else [])
 
 

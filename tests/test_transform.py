@@ -24,7 +24,7 @@ from locusframe import (
     pipeline_locus,
 )
 from locusframe.transform import map_rotate
-from locusframe.waveform import TWO_PI, sample_angles
+from locusframe.waveform import _CHUNK_ROWS, TWO_PI, sample_angles
 
 import support
 
@@ -304,7 +304,7 @@ class TestPipelineLocus:
         assert series.coords == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4096, 4097])
+@pytest.mark.parametrize("n", [1, 2, _CHUNK_ROWS, _CHUNK_ROWS + 1])
 def test_map_rotate_equals_apply_then_park_rotate(unbalanced_segment, n):
     # bit for bit, which the %.6f text of the streamed-bytes tests could hide: each frame
     # of one call, the locus frame and Clarke (as a frame with its rows), against the

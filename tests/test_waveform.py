@@ -31,6 +31,7 @@ from locusframe import (
     total_phases,
     wrap_angle,
 )
+from locusframe import waveform
 from locusframe.waveform import _CHUNK_ROWS, TWO_PI, AngleGrid, sample_angles
 
 import support
@@ -352,6 +353,38 @@ def test_angle_grid_rows_match_the_whole_grid(rate, periods):
     assert _rows_by_index(grid, [-1]) == bits[-8:]
     with pytest.raises(IndexError):
         grid[len(grid)]
+
+
+@pytest.mark.parametrize("rows", [2048, 1000, 3])
+def test_sample_chunks_join_to_the_whole_series(monkeypatch, rows):
+    # bit for bit, which the %.6f text of the streamed CLI tests could hide: segments
+    # start on the first row of the second chunk, on the last row of the third and
+    # inside the fourth, and one segment, shorter than a grid step, holds one row of
+    # the fifth
+    monkeypatch.setattr(waveform, "_CHUNK_ROWS", rows)
+    rate = 1000
+    step = TWO_PI / rate
+    first_rows = [0, rows, 3 * rows - 1, 3 * rows + rows // 2, 4 * rows + 1]
+    starts = [k * step for k in first_rows] + [(4 * rows + 1.5) * step]
+    rng = np.random.default_rng(3)
+    scenario = PhasorScenario(
+        TWO_PI * 50.0,
+        [
+            ScenarioSegment(start, rng.uniform(0.2, 1.2, 3), rng.uniform(-math.pi, math.pi, 3))
+            for start in starts
+        ],
+    )
+    grid = AngleGrid(rate, (5 * rows + 1) / rate)
+    assert len(grid) == 5 * rows + 2
+    chunks = list(waveform.sample_chunks(scenario, grid))
+    assert [len(angles) for angles, _ in chunks] == [rows] * 5 + [2]
+    whole = evaluate_scenario(scenario, grid[:])
+    assert np.array_equal(np.concatenate([angles for angles, _ in chunks]), grid[:])
+    assert np.array_equal(np.hstack([coords for _, coords in chunks]), whole)
+    # each start row is the first row of its segment, and the short one holds one row
+    active = [segment_at(scenario, angle) for angle in grid[:]]
+    assert [active.index(segment) for segment in scenario.segments[:5]] == first_rows
+    assert active.count(scenario.segments[4]) == 1
 
 
 def test_angle_grid_far_rows():
