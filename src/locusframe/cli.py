@@ -356,14 +356,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    """Estimate the frame from the noisy grid rows around --t1-angle and a quarter period
-    later, sampling those rows alone (with noise, the rows before them draw their noise
-    unsampled), then sample the grid from row 0, add the same noise and write the CSV a
-    chunk of sample_chunks at a time.  The estimate comes first, so a rejected one (exit
-    4 or 3) writes nothing.  Each value and each row's noise draws depend only on the
-    row, so the bytes are those of the whole series.  The grid is an AngleGrid, whose
-    rows each chunk and the window make when they read them, so memory does not grow
-    with --periods."""
+    """Sample the grid a chunk of sample_chunks at a time, add each chunk's noise from the
+    run's one default_rng(seed), and write the CSV as _write takes the chunks.  Each chunk
+    copies its rows of stream_window's slice, around --t1-angle and a quarter period
+    later, and the chunk that completes them estimates the frame before it is written:
+    a rejected estimate (exit 3) stops the stream there, and _write leaves no output.
+    The grid and the window are checked (exit 2, then exit 4) before --out is made.
+    Each value and each row's noise draws depend only on the row, so the bytes are
+    those of the whole series.  The grid is an AngleGrid, whose rows each chunk makes
+    when it reads them, so memory does not grow with --periods."""
     import numpy as np
 
     if not math.isfinite(args.t1_angle):
@@ -378,35 +379,34 @@ def cmd_measure(args) -> int:
     # the grid is checked (exit 2, then exit 4) before any sample is taken
     angles = waveform.AngleGrid(args.rate, args.periods)
     rows = locus.stream_window(angles, args.t1_angle)
-
-    def noisy(rng, coords):
-        # coords, shape (3, n), of the n grid rows after those rng drew for, with their
-        # noise added in place; rng is None for a noiseless run
-        if rng is not None:
-            np.add(coords, rng.normal(0.0, args.noise, (coords.shape[1], 3)).T, out=coords)
-        return coords
-
-    # grid row k gets draws 3k..3k+2 of a fresh default_rng(seed), so each pass makes its
-    # own and adds the same noise; a noiseless run makes none
+    # grid row k gets draws 3k..3k+2; a noiseless run makes no generator
     rng = np.random.default_rng(args.seed) if args.noise > 0.0 else None
-    if rng is not None:  # the rows before the window draw theirs, a chunk at a time
-        for lo in range(0, rows.start, waveform._CHUNK_ROWS):
-            rng.normal(0.0, args.noise, (min(waveform._CHUNK_ROWS, rows.start - lo), 3))
-    grid = angles[rows]
-    window = noisy(rng, waveform.evaluate_scenario(scenario, grid))
-    e1, e2 = locus.basis_from_window(grid, window, args.t1_angle)
-    del grid, window  # let go before the write
-    estimate = transform.assemble(locus.LocusBasis(e1, e2, args.t1_angle))
+    deviation = None
 
-    # the reference probes come from the kernel that made the samples
-    exact = waveform.evaluate_scenario(scenario, [args.t1_angle, args.t1_angle + 0.5 * math.pi])
-    analytic = transform.assemble(locus.LocusBasis(*exact.T, args.t1_angle))
-    deviation = float(np.max(np.abs(estimate.forward - analytic.forward)))
+    def chunks():
+        nonlocal deviation
+        window = np.empty((3, rows.stop - rows.start))  # the noisy abc of rows
+        stop = 0  # rows sampled so far
+        for grid, abc in waveform.sample_chunks(scenario, angles):
+            if rng is not None:
+                np.add(abc, rng.normal(0.0, args.noise, (grid.size, 3)).T, out=abc)
+            start, stop = stop, stop + grid.size
+            lo, hi = max(start, rows.start), min(stop, rows.stop)
+            if lo < hi:
+                window[:, lo - rows.start : hi - rows.start] = abc[:, lo - start : hi - start]
+            if start < rows.stop <= stop:
+                # the grid's rows read again are the bits that the chunks read
+                e1, e2 = locus.basis_from_window(angles[rows], window, args.t1_angle)
+                del window  # let go before the rest of the write
+                estimate = transform.assemble(locus.LocusBasis(e1, e2, args.t1_angle))
+                # the reference probes come from the kernel that made the samples
+                probes = [args.t1_angle, args.t1_angle + 0.5 * math.pi]
+                exact = waveform.evaluate_scenario(scenario, probes)
+                analytic = transform.assemble(locus.LocusBasis(*exact.T, args.t1_angle))
+                deviation = float(np.max(np.abs(estimate.forward - analytic.forward)))
+            yield grid, [abc]
 
-    files = [("V_abc_measured.csv", "t,Va,Vb,Vc")]
-    rng = np.random.default_rng(args.seed) if args.noise > 0.0 else None
-    chunks = ((grid, [noisy(rng, abc)]) for grid, abc in waveform.sample_chunks(scenario, angles))
-    wrote = _write(args.out, files, chunks)
+    wrote = _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc")], chunks())
     print(
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",

@@ -1002,13 +1002,14 @@ def test_failure_mid_stream_leaves_nothing(capsys, monkeypatch, scenario_path, t
 def test_measure_failure_mid_stream_leaves_nothing(
     capsys, monkeypatch, scenario_path, tmp_path, out
 ):
-    # the estimate passes and the first chunk is written; sampling the second fails
+    # the first chunk holds the window and passes the estimate, and is written; sampling
+    # the second fails
     evaluate = waveform.evaluate_scenario
     calls = []
 
     def exhausted_on_second_chunk(scenario, angles):
         calls.append(len(angles))
-        if len(calls) == 4:  # after the estimate's two calls and the first chunk
+        if len(calls) == 3:  # after the first chunk and the estimate's two probes
             raise MemoryError()
         return evaluate(scenario, angles)
 
@@ -1021,10 +1022,11 @@ def test_measure_failure_mid_stream_leaves_nothing(
     code, stdout, err = _run(capsys, [*argv, "--out", str(out_dir)])
     _assert_rejected(code, stdout, err)
     assert err == "error: out of memory\n"
-    # the estimate's prefix, rows 0..251 up to the row after t2 = pi/2 (row 250), the
-    # two reference probes, then the first two chunks from row 0
-    assert len(_chunk_sizes(5001)) > 1
-    assert calls == [252, 2, *_chunk_sizes(5001)[:2]]
+    # the first chunk, which holds the window rows 0..251 up to the row after t2 = pi/2
+    # (row 250), the two reference probes, then the second chunk
+    first, second = _chunk_sizes(5001)[:2]
+    assert first > 251
+    assert calls == [first, 2, second]
     if out == "existing":
         assert [path.name for path in out_dir.iterdir()] == ["V_abc_measured.csv"]
         assert (out_dir / "V_abc_measured.csv").read_bytes() == b"older run\n"
@@ -1041,10 +1043,13 @@ def test_measure_failure_mid_stream_leaves_nothing(
 def test_rejected_estimate_comes_before_output(
     capsys, scenario_path, tmp_path, flags, expected, out
 ):
-    # the estimate runs before --out is made or opened: with --out a regular file the
-    # run still exits 3 or 4, not 2, and leaves the file as it was
+    # the window is checked before --out is made: with --out a regular file a span that
+    # misses it still exits 4, not 2; the estimate comes from the chunks as they are
+    # written, after --out is made, so there an overflowing one exits 2, not 3; either
+    # leaves the file as it was, and a rejected estimate leaves no output
     out_path = tmp_path / out
     if out == "file":
+        expected = 2 if expected == 3 else expected
         out_path.write_bytes(b"not a directory\n")
     argv = ["measure", str(scenario_path), "--periods", "100", *flags, "--out", str(out_path)]
     _assert_rejected(*_run(capsys, argv), expected=expected)
@@ -1209,9 +1214,12 @@ def _row(k, rate=_STREAM_RATE):
             1024, 2 * _CHUNK, _row(_CHUNK // 2), 0.05, _CHUNK // 2 + 256, id="t2 on a grid row"
         ),
         pytest.param(1024, 2 * _CHUNK + 1, _row(2 * _CHUNK - 256), 0.01, 2 * _CHUNK, id="last row"),
-        # the estimate samples the rows around t1 and t2 alone; those before only draw
         pytest.param(
             1024, 4 * _CHUNK + 1, _row(3 * _CHUNK + 100.5), 0.01, None, id="past the first chunks"
+        ),
+        # a quarter period is 4096 rows at 16384 per period: the window spans three chunks
+        pytest.param(
+            16384, 4 * _CHUNK + 1, _row(1000.3, 16384), 0.01, None, id="over three chunks"
         ),
         # the first step of the rows around t1 is an ulp above the grid's and reads as
         # 64.0 - 8e-8 samples per period; measure reads the rate of the grid's span alone
@@ -1222,7 +1230,8 @@ def test_streamed_measure_equals_whole_series(
     capsys, tmp_path, stream_scenario, rate, samples, t1, sigma, t2_row
 ):
     # measure samples and draws the noise a chunk at a time, and estimates from the rows
-    # around t1 and t2 = t1 + pi/2 alone; its stdout and CSV are those of the whole series
+    # around t1 and t2 = t1 + pi/2 that the chunks copy; its stdout and CSV are those of
+    # the whole series
     scenario = load_scenario(stream_scenario)
     if t2_row is not None:  # t2 hits a grid row exactly, and np.interp returns that row
         assert t1 + 0.5 * math.pi == _row(t2_row, rate)
@@ -1281,19 +1290,15 @@ def test_peak_memory_flat_in_periods(scenario_path, tmp_path, argv):
 
 @_READS_VMHWM
 def test_late_t1_keeps_memory_flat(scenario_path, tmp_path):
-    # the estimate draws the noise of every row before t1 but keeps only the rows around
-    # t1 and t2; keeping the prefix of t1 = 2500, about 398 000 rows, would add about 12 MiB
+    # the chunks before t1 are written and dropped, and only the rows around t1 and t2
+    # are kept; keeping the prefix of t1 = 2500, about 398 000 rows, would add about 12 MiB
     argv = ["measure", "--noise", "0.01", "--t1-angle"]
     peaks = [_peak_mib(scenario_path, tmp_path / t1, "400", [*argv, t1]) for t1 in ("3", "2500")]
     assert abs(peaks[1] - peaks[0]) < 4.0, peaks
 
 
-@pytest.mark.parametrize("noise", ["0", "0.01"])
-def test_estimate_samples_only_the_window_rows(
-    capsys, monkeypatch, scenario_path, tmp_path, noise
-):
-    # the estimate samples the rows around t1 = 200 and t2 alone, not the rows before
-    # them, which with noise only draw theirs; the CSV pass samples every chunk from row 0
+def _spy_sampling(monkeypatch):
+    """The list to which each evaluate_scenario call appends its sample count."""
     evaluate = waveform.evaluate_scenario
     calls = []
 
@@ -1302,12 +1307,38 @@ def test_estimate_samples_only_the_window_rows(
         return evaluate(scenario, angles)
 
     monkeypatch.setattr(waveform, "evaluate_scenario", spy)
+    return calls
+
+
+@pytest.mark.parametrize("noise", ["0", "0.01"])
+def test_measure_samples_each_row_once(capsys, monkeypatch, scenario_path, tmp_path, noise):
+    # one pass: every chunk is sampled once from row 0, and the estimate's two reference
+    # probes follow the chunk that completes the rows around t1 = 200 and t2
+    calls = _spy_sampling(monkeypatch)
     argv = ["measure", str(scenario_path), "--periods", "40", "--t1-angle", "200"]
     code, _, err = _run(capsys, [*argv, "--noise", noise, "--out", str(tmp_path)])
     assert (code, err) == (0, "")
     rows = locus.stream_window(waveform.sample_angles(1000, 40.0), 200.0)
-    assert rows.start > _CHUNK
-    assert calls == [rows.stop - rows.start, 2, *_chunk_sizes(40001)]
+    last = (rows.stop - 1) // _CHUNK  # the chunk that holds the window's last row
+    sizes = _chunk_sizes(40001)
+    assert 0 < last < len(sizes) - 1
+    assert calls == [*sizes[: last + 1], 2, *sizes[last + 1 :]]
+
+
+def test_rejected_estimate_costs_only_the_window(capsys, monkeypatch, scenario_path, tmp_path):
+    # an overflowing estimate stops the stream at the chunk that completes the window:
+    # the chunks after it are never sampled, and the run leaves no output
+    calls = _spy_sampling(monkeypatch)
+    argv = ["measure", str(scenario_path), "--periods", "1000", "--noise", "1e300"]
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, [*argv, "--t1-angle", "300", "--out", str(out)])
+    _assert_rejected(code, stdout, err, expected=3)
+    rows = locus.stream_window(waveform.AngleGrid(1000, 1000.0), 300.0)
+    sizes = _chunk_sizes(1000001)
+    last = (rows.stop - 1) // _CHUNK
+    assert last < len(sizes) - 1
+    assert calls == sizes[: last + 1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def _peak_from_first_chunk(capsys, monkeypatch, argv):
@@ -1338,9 +1369,9 @@ def test_streamed_simulate_working_set(capsys, monkeypatch, scenario_path, tmp_p
 
 
 def test_streamed_measure_working_set(capsys, monkeypatch, scenario_path, tmp_path):
-    # traced from the first chunk of the CSV pass on, after the estimate: sampling, the
-    # noise draws and the render of one chunk at a time; about 0.49 MiB with chunks of
-    # 2048 rows, 0.85 MiB with 4096
+    # traced from the first chunk on, past the grid's and the window's checks: sampling,
+    # the noise draws, the copies of the window rows, the estimate and the render of one
+    # chunk at a time; about 0.49 MiB with chunks of 2048 rows, 0.85 MiB with 4096
     argv = ["measure", str(scenario_path), "--periods", "100", "--noise", "0.01"]
     peak = _peak_from_first_chunk(capsys, monkeypatch, [*argv, "--out", str(tmp_path)])
     assert peak < 0.7 * 2**20, peak
