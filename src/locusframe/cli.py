@@ -37,12 +37,12 @@ _CSV_ROW = "%.6f,%.6f,%.6f,%.6f\n"
 _FIXED_MAX = 4.5e9
 
 
-def _ascii_words(texts):
-    """One uint32 word per text of at most 4 ASCII bytes, NUL-padded on the left."""
+def _ascii_words(form, values=range(1000)):
+    """One uint32 word per ``form % value``, each 4 ASCII bytes, spaces read as NULs."""
     import numpy as np
 
-    data = "".join(text.rjust(4, "\0") for text in texts).encode("ascii")
-    return np.frombuffer(data, dtype=np.uint32)
+    text = form * len(values) % tuple(values)
+    return np.frombuffer(text.replace(" ", "\0").encode("ascii"), dtype=np.uint32)
 
 
 @functools.cache
@@ -50,18 +50,18 @@ def _csv_tables():
     """The word tables of _fixed_rows: units, high, fraction_high, fraction_low."""
     import numpy as np
 
-    digits = [f"{g:03d}" for g in range(1000)]
     # one 3-digit group of the whole part: 2000*sign + value when every higher
     # group is 0 (no padding, the sign before the first digit), 2000*sign + 1000
     # + value otherwise (zero-padded, no sign)
-    units = _ascii_words(
-        text for sign in ("", "-") for text in [sign + str(g) for g in range(1000)] + digits
-    )
+    padded = _ascii_words("\0%03d")
+    negated = _ascii_words("%4d", range(0, -1000, -1))
+    units = np.concatenate([_ascii_words("%4d"), padded, negated, padded])
+    units[2000] = _ascii_words("%4s", ["-0"])[0]  # "%4d" % -0 reads "   0"
     # the same above the units group, where a leading 0 shows nothing, not even the sign
     high = units.copy()
     high[[0, 2000]] = 0
-    fraction_high = _ascii_words("." + text for text in digits)
-    fraction_low = _ascii_words(text + end for end in ",\n" for text in digits)
+    fraction_high = _ascii_words(".%03d")
+    fraction_low = np.concatenate([_ascii_words("%03d,"), _ascii_words("%03d\n")])
     return units, high, fraction_high, fraction_low
 
 

@@ -30,8 +30,9 @@ AMPLITUDE_MAX = 1e50
 
 #: grid rows that the streamed paths sample, map, render and write at a time;
 #: a multiple of every OpenBLAS unroll width.  A chunk's arrays take about 0.68 MiB
-#: of simulate's heap and 0.49 MiB of a noisy measure's, against 1.27 and 0.85 MiB
-#: at 4096 rows (tracemalloc from the first chunk, --periods 100)
+#: of simulate's heap and 0.49 MiB of a noisy measure's, against 1.23 and 0.85 MiB
+#: at 4096 rows (tracemalloc from the first chunk, --periods 100, CSV word tables
+#: built before it; 0.04 MiB more of each when the first chunk builds them)
 _CHUNK_ROWS = 2048
 
 #: (scenario, its gather tables) of the last scenario that evaluate_scenario sampled

@@ -1362,7 +1362,8 @@ def _peak_from_first_chunk(capsys, monkeypatch, argv):
 def test_streamed_simulate_working_set(capsys, monkeypatch, scenario_path, tmp_path):
     # traced from the first chunk on, past the grid's size check and the basis: sampling,
     # both pipelines and the five CSV renders of one chunk at a time; about 0.68 MiB with
-    # chunks of 2048 rows, 1.27 MiB with 4096
+    # chunks of 2048 rows, 1.23 MiB with 4096, and 0.04 MiB more when the first chunk
+    # also builds the CSV word tables
     argv = ["simulate", str(scenario_path), "--periods", "100", "--out", str(tmp_path)]
     peak = _peak_from_first_chunk(capsys, monkeypatch, argv)
     assert peak < 2**20, peak
@@ -1371,7 +1372,8 @@ def test_streamed_simulate_working_set(capsys, monkeypatch, scenario_path, tmp_p
 def test_streamed_measure_working_set(capsys, monkeypatch, scenario_path, tmp_path):
     # traced from the first chunk on, past the grid's and the window's checks: sampling,
     # the noise draws, the copies of the window rows, the estimate and the render of one
-    # chunk at a time; about 0.49 MiB with chunks of 2048 rows, 0.85 MiB with 4096
+    # chunk at a time; about 0.49 MiB with chunks of 2048 rows, 0.85 MiB with 4096, and
+    # 0.04 MiB more when the first chunk also builds the CSV word tables
     argv = ["measure", str(scenario_path), "--periods", "100", "--noise", "0.01"]
     peak = _peak_from_first_chunk(capsys, monkeypatch, [*argv, "--out", str(tmp_path)])
     assert peak < 0.7 * 2**20, peak
@@ -1598,6 +1600,46 @@ def test_csv_tables_built_on_first_write(scenario_path, tmp_path):
         ("V_dq0_classical.csv", "t,Vd,Vq,V0", dq0),
     ]:
         assert (tmp_path / name).read_bytes() == _percent_csv(header, series.angles, series.coords)
+
+
+def _reference_words(texts):
+    """One uint32 word per text of at most 4 ASCII bytes, NUL-padded on the left."""
+    data = "".join(text.rjust(4, "\0") for text in texts).encode("ascii")
+    return np.frombuffer(data, dtype=np.uint32)
+
+
+def test_csv_tables_equal_per_entry_strings():
+    # the tables read from one %-format each hold, word for word, the words of the
+    # entries' own strings: a group with and without its zero padding and sign, and
+    # the fraction's two halves with their point, comma and newline
+    digits = [f"{g:03d}" for g in range(1000)]
+    units = _reference_words(
+        text for sign in ("", "-") for text in [sign + str(g) for g in range(1000)] + digits
+    )
+    high = units.copy()
+    high[[0, 2000]] = 0
+    reference = (
+        units,
+        high,
+        _reference_words("." + text for text in digits),
+        _reference_words(text + end for end in ",\n" for text in digits),
+    )
+    tables = cli._csv_tables.__wrapped__()
+    assert [table.dtype for table in tables] == [np.uint32] * 4
+    assert [table.tolist() for table in tables] == [table.tolist() for table in reference]
+
+
+def test_csv_tables_build_transient_is_small():
+    # the build reads each table from one string, not from a Python string per
+    # entry: its traced peak stays near the 44 KiB the finished tables hold
+    # (about 89 KiB; 320 KiB from 8000 per-entry strings)
+    tracemalloc.start()
+    try:
+        cli._csv_tables.__wrapped__()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024, peak
 
 
 def _env_with_blas_threads(threads):
