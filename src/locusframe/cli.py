@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import math
 import os
 import sys
@@ -513,5 +514,29 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """Process entry of ``locusframe`` and ``python -m locusframe.cli``: exit with main's code.
+
+    Output still buffered on stdout is flushed here, so a closed or full stdout is one
+    ``error:`` line and exit 2 whether or not stdout is buffered; fd 1 then points at
+    os.devnull, so the interpreter's own flush at exit cannot fail again.  The heap is
+    frozen last: the full collections of interpreter shutdown skip every object main
+    left, while atexit handlers, the interpreter's flush and the exit code are as
+    before.  main itself freezes nothing, so in-process callers keep normal collection.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,23 @@ import support
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_PATH = SCENARIOS / "unbalance_step.json"
+BENCH = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def _module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def checks():
+    """``benchmark/checks.py``, loaded by path; it imports ``benchmark/reference.py``
+    by that name, and neither imports ``locusframe``."""
+    if "reference" not in sys.modules:
+        sys.modules["reference"] = _module("reference", BENCH / "reference.py")
+    return _module("locusframe_bench_checks", BENCH / "checks.py")
 
 
 @pytest.fixture

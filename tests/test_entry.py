@@ -1,0 +1,147 @@
+"""The process entry ``cli.run``: the console script and ``python -m locusframe.cli``.
+
+``run`` exits with ``main``'s code after flushing stdout and freezing the heap, so
+interpreter shutdown skips its full collections; ``main`` freezes nothing.
+"""
+
+import ast
+import errno
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from locusframe import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+SUBCOMMANDS = [
+    ["validate"],
+    ["matrix"],
+    ["simulate", "--out", "{out}"],
+    ["measure", "--noise", "0.01", "--out", "{out}"],
+]
+
+
+def _env(unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize(
+    "scenario, argv, expected",
+    [
+        ("scenario_path", ["validate"], 0),
+        (None, ["validate", "no-such-file.json"], 2),
+        ("degenerate_scenario_path", ["matrix"], 3),
+        ("scenario_path", ["measure", "--t1-angle", "700", "--out", "{out}"], 4),
+    ],
+    ids=["exit 0", "exit 2", "exit 3", "exit 4"],
+)
+def test_main_block_passes_the_exit_code_and_freezes(request, tmp_path, scenario, argv, expected):
+    # the module run as __main__, as `python -m locusframe.cli` runs it
+    wrapper = (
+        "import gc, runpy, sys\n"
+        "sys.argv[0] = 'locusframe'\n"
+        "try:\n"
+        "    runpy.run_module('locusframe.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, gc.get_freeze_count() > 0)\n"
+    )
+    path = [str(request.getfixturevalue(scenario))] if scenario else []
+    args = [argv[0], *path, *(a.format(out=tmp_path / "out") for a in argv[1:])]
+    done = subprocess.run(
+        [sys.executable, "-c", wrapper, *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_env(True),
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == f"exit {expected} True"
+    assert (done.stderr == "") == (expected == 0)
+
+
+def test_main_in_process_freezes_nothing(capsys, scenario_path, tmp_path):
+    before = gc.get_freeze_count()
+    assert cli.main(["simulate", str(scenario_path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["locusframe"]
+    module, _, name = target.partition(":")
+    assert module == cli.__name__
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(statement) for statement in block.body] == [f"{name}()"]
+    assert callable(getattr(cli, name))
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+def _full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "stdout, code",
+    [(_closed_pipe, errno.EPIPE), (_full_device, errno.ENOSPC)],
+    ids=["closed pipe", "/dev/full"],
+)
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_undeliverable_stdout_is_one_error_line(scenario_path, tmp_path, argv, stdout, code, unbuffered):
+    # buffered, the text reaches stdout only when run flushes it, after main returned
+    out = tmp_path / "out"
+    args = [argv[0], str(scenario_path), *(a.format(out=out) for a in argv[1:])]
+    fd = stdout()
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "locusframe.cli", *args],
+            stdout=fd,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env(unbuffered),
+        )
+    finally:
+        os.close(fd)
+    assert (done.returncode, done.stderr) == (2, f"error: {OSError(code, os.strerror(code))}\n")
+    # the CSVs were complete before their wrote lines could not be delivered
+    expected = {"simulate": 5, "measure": 1}.get(argv[0], 0)
+    assert len(list(out.glob("*.csv"))) == expected
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="closes fd 1 through sh")
+def test_stdout_closed_at_start_is_no_error(scenario_path, tmp_path):
+    # Python starts with sys.stdout None, and print writes nothing
+    out = tmp_path / "out"
+    args = ["simulate", str(scenario_path), "--out", str(out)]
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "locusframe.cli", *args],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_env(False),
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(list(out.glob("*.csv"))) == 5

@@ -1,43 +1,22 @@
 """``measure`` on random scenarios, checked by the benchmark's independent reference.
 
-``benchmark/checks.py`` recomputes the printed deviation from the measured CSV and
-bounds the CSV's residual against ``benchmark/reference.py``, which imports nothing
-from ``locusframe``.  Both are loaded by path; ``checks`` imports ``reference`` by
-that name.
+``benchmark/checks.py`` (the ``checks`` fixture) recomputes the printed deviation from
+the measured CSV and bounds the CSV's residual against ``benchmark/reference.py``,
+which imports nothing from ``locusframe``.
 """
 
-import importlib.util
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from locusframe import cli
-
-BENCH = Path(__file__).resolve().parent.parent / "benchmark"
 
 RUNS = 150
 RATES = (64, 200, 1000, 2500)
 SIGMAS = (0.0, 0.01, 0.05)
 #: the exact probe pair spans its plane by at least this sine, so the frame is tame
 MIN_CROSS_SHARE = 0.05
-
-
-def _module(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def checks():
-    if "reference" not in sys.modules:
-        sys.modules["reference"] = _module("reference", BENCH / "reference.py")
-    return _module("locusframe_measure_checks", BENCH / "checks.py")
 
 
 def _case(rng, ref):
