@@ -16,55 +16,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import gc
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
-from . import locus, transform, waveform
+# transform and the CSV engine (csvout) are imported by the subcommands that run them,
+# so validate compiles neither
+from . import locus, waveform
 from .locus import MAX_NORM, PHASE_A_PEAK
 from .waveform import TWO_PI, ScenarioError
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: frame tokens accepted by simulate --frames
 SIMULATE_FRAMES = ("abc", "locus123", "clarke", "dq0")
-
-_CSV_ROW = "%.6f,%.6f,%.6f,%.6f\n"
-#: |x| below this keeps |x|*1e6 under 2**52, where one ulp is at most 0.5
-_FIXED_MAX = 4.5e9
-
-
-def _ascii_words(form, values=range(1000)):
-    """One uint32 word per ``form % value``, each 4 ASCII bytes, spaces read as NULs."""
-    import numpy as np
-
-    text = form * len(values) % tuple(values)
-    return np.frombuffer(text.replace(" ", "\0").encode("ascii"), dtype=np.uint32)
-
-
-@functools.cache
-def _csv_tables():
-    """The word tables of _fixed_rows: units, high, fraction_high, fraction_low."""
-    import numpy as np
-
-    # one 3-digit group of the whole part: 2000*sign + value when every higher
-    # group is 0 (no padding, the sign before the first digit), 2000*sign + 1000
-    # + value otherwise (zero-padded, no sign)
-    padded = _ascii_words("\0%03d")
-    negated = _ascii_words("%4d", range(0, -1000, -1))
-    units = np.concatenate([_ascii_words("%4d"), padded, negated, padded])
-    units[2000] = _ascii_words("%4s", ["-0"])[0]  # "%4d" % -0 reads "   0"
-    # the same above the units group, where a leading 0 shows nothing, not even the sign
-    high = units.copy()
-    high[[0, 2000]] = 0
-    fraction_high = _ascii_words(".%03d")
-    fraction_low = np.concatenate([_ascii_words("%03d,"), _ascii_words("%03d\n")])
-    return units, high, fraction_high, fraction_low
-
 
 def parse_orientation(text: str):
     """argparse type for --orientation: a named choice or ``angle:<radians>``."""
@@ -121,99 +85,13 @@ def matrix_lines(matrix) -> list[str]:
     return ["".join(" " + _number(entry, "%7.3f", "%.3e") for entry in row) for row in matrix]
 
 
-def _fixed_rows(angles: np.ndarray, coords: np.ndarray) -> bytes | None:
-    """CSV text of the rows ``(angles[i], *coords[:, i])``, each value as ``"%.6f" % x``
-    gives it.
-
-    Rounds |x|*1e6 to an integer count u of millionths and renders it from the word
-    tables.  Below 2**52 both |x|*1e6 and u are multiples of one ulp (at most 0.5),
-    and the exact product lies within half an ulp, so a distance under 0.5 proves u
-    is the correctly rounded one.  u < 4.5e15, so u / 1e6 < 2**33, and half an ulp
-    of that quotient (at most 4.8e-7) is less than its 1e-6 distance from the next
-    integer: flooring it splits off the whole part exactly, and the same holds for
-    the smaller quotients by 1e3 below.  Returns None when the rows hold a value
-    where the proof fails: a non-finite value, |x| >= _FIXED_MAX, or a tie
-    |x|*1e6 = k + 0.5.
-    """
-    import numpy as np
-
-    scaled = np.empty((4, angles.size))  # one row per CSV column
-    scaled[0] = angles
-    scaled[1:] = coords
-    # the max and the min are NaN when any value is, and fail the test
-    if not (scaled.max() < _FIXED_MAX and -scaled.min() < _FIXED_MAX):
-        return None
-    sign = np.signbit(scaled) * np.int16(2000)  # where a negative value's words start
-    scaled *= 1e6
-    np.abs(scaled, out=scaled)
-    units = np.rint(scaled)
-    np.subtract(scaled, units, out=scaled)
-    np.abs(scaled, out=scaled)
-    if not scaled.max() < 0.5:
-        return None
-    whole = scaled
-    np.divide(units, 1e6, out=whole)
-    np.floor(whole, out=whole)
-    whole *= 1e6  # exact: an integer below 2**53, and so is its quotient by 1e6
-    units -= whole  # the fraction's millionths
-    whole /= 1e6
-    units_group, high_group, fraction_high, fraction_low = _csv_tables()
-    groups = (len(str(int(whole.max()))) + 2) // 3  # of the widest whole part
-    words = np.empty((angles.size, 4, groups + 2), dtype=np.uint32)
-    index = np.empty(words.shape[:2], dtype=np.intp)  # of the words' (row, column) order
-    column = index.T  # in the order of scaled
-    # each quotient is non-negative, so the cast to index truncates it to its floor
-    np.divide(units, 1e3, out=column, casting="unsafe")
-    words[..., groups] = fraction_high[index]
-    column *= -1000
-    np.add(column, units, out=column, casting="unsafe")
-    column[3] += 1000  # the last column ends in the row's newline, the others in a comma
-    words[..., groups + 1] = fraction_low[index]
-    # the 3-digit groups of the whole part from the units up, each zero-padded when a
-    # nonzero group follows; the top one is below 1000 and never padded
-    for k in range(groups - 1):
-        np.divide(whole, 1e3, out=column, casting="unsafe")
-        column *= -1000
-        np.add(column, whole, out=column, casting="unsafe")
-        column += (whole >= 1000) * np.int16(1000)
-        column += sign
-        words[..., groups - 1 - k] = (high_group if k else units_group)[index]
-        np.divide(whole, 1e3, out=whole)
-        np.floor(whole, out=whole)
-    np.add(whole, sign, out=column, casting="unsafe")
-    words[..., 0] = (high_group if groups > 1 else units_group)[index]
-    # each array goes before the next copy of the text is made, so that at most two
-    # copies are held at a time
-    del scaled, whole, units, index, column, sign
-    text = words.tobytes()
-    del words
-    return text.translate(None, b"\0")
-
-
-def _write_rows(handle, angles, coords) -> None:
-    """Append the CSV rows ``angles[i], *coords[:, i]`` to ``handle``, %.6f comma-separated.
-
-    Each slice of waveform._CHUNK_ROWS rows is rendered in one call of
-    :func:`_fixed_rows`; a slice it cannot prove exact is %-formatted instead.
-    Both give the bytes of ``f"{x:.6f}"``, ``-0.000000`` included.
-    """
-    import numpy as np
-
-    step = waveform._CHUNK_ROWS
-    for lo in range(0, angles.size, step):
-        rows, block = angles[lo : lo + step], coords[:, lo : lo + step]
-        text = _fixed_rows(rows, block)
-        if text is None:
-            values = np.column_stack([rows, block.T]).ravel().tolist()
-            text = (_CSV_ROW * rows.size % tuple(values)).encode("ascii")
-        handle.write(text)
-
-
 def write_series_csv(path, series: waveform.TransformedSeries, header: str) -> None:
-    """Write a series as CSV: ``header``, then the rows of :func:`_write_rows`."""
+    """Write a series as CSV: ``header``, then the rows of :func:`csvout._write_rows`."""
+    from . import csvout
+
     with open(path, "wb") as handle:
         handle.write(header.encode("ascii") + b"\n")
-        _write_rows(handle, series.angles, series.coords)
+        csvout._write_rows(handle, series.angles, series.coords)
 
 
 def _segment_degeneracy(segment):
@@ -240,67 +118,29 @@ def _pick_segment(scenario, index_1based: int | None):
 
 def cmd_validate(args) -> int:
     scenario = waveform.load_scenario(args.scenario)
-    print(f"scenario: {_number(scenario.frequency_hz)} Hz, {len(scenario.segments)} segment(s)")
+    count = len(scenario.segments)
+    lines = [f"scenario: {_number(scenario.frequency_hz)} Hz, {count} segment(s)\n"]
     for k, segment in enumerate(scenario.segments, start=1):
         amps = " ".join(_number(a) for a in segment.amplitudes)
         offs = " ".join(f"{math.degrees(p):.6f}" for p in segment.phase_offsets)
         metric, degenerate = _segment_degeneracy(segment)
         flag = "  [degenerate]" if degenerate else ""
-        print(
+        lines.append(
             f"  segment {k}: start {_number(segment.start_angle / TWO_PI)} periods, "
-            f"amplitudes {amps}, offsets_deg {offs}, degeneracy {metric:.6f}{flag}"
+            f"amplitudes {amps}, offsets_deg {offs}, degeneracy {metric:.6f}{flag}\n"
         )
+    # one write of the whole report: unbuffered, each print makes two system calls
+    if sys.stdout is not None:  # None when the process started with fd 1 closed
+        sys.stdout.write("".join(lines))
     return 0
 
 
 def _frame(args, scenario, index: int):
     """(basis, frame) of segment ``index`` under --orientation and --normalized."""
+    from . import transform
+
     basis = locus.build_basis(scenario.segments[index], args.orientation)
     return basis, transform.assemble(basis, normalized=args.normalized)
-
-
-def _write(out, files, chunks) -> list[str]:
-    """Write one CSV in ``out`` per ``(name, header)`` of ``files``, its rows those of the
-    matching (3, n) block of each ``(angles, [block, ...])`` that ``chunks`` yields, and
-    return the ``wrote <path>`` lines for the caller to print.
-
-    All or nothing: each CSV is written under a temporary name and renamed once the last
-    chunk is written.  On any failure, making ``out`` or computing a chunk included, the
-    temporaries, the CSVs already renamed and the directories this call created are
-    removed before the error propagates.
-    """
-    made = []  # the directories makedirs creates, innermost first
-    head = os.path.abspath(out)
-    while not os.path.exists(head):
-        made.append(head)
-        head = os.path.dirname(head)
-    paths = [os.path.join(out, name) for name, _ in files]
-    temps = [os.path.join(out, f".{name}.tmp") for name, _ in files]
-    done = []
-    try:
-        os.makedirs(out, exist_ok=True)
-        with contextlib.ExitStack() as stack:
-            handles = [stack.enter_context(open(temp, "wb")) for temp in temps]
-            for handle, (_, header) in zip(handles, files):
-                handle.write(header.encode("ascii") + b"\n")
-            for angles, blocks in chunks:
-                # each block is dropped once written: the heap reuses its memory for the
-                # blocks after it instead of returning it, and the next chunk starts empty
-                for handle in handles:
-                    _write_rows(handle, angles, blocks.pop(0))
-                del angles
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-            done.append(path)
-    except BaseException:
-        for path in temps + done:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        for path in made:
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
-        raise
-    return [f"wrote {path}" for path in paths]
 
 
 def cmd_matrix(args) -> int:
@@ -323,6 +163,8 @@ def cmd_simulate(args) -> int:
     CSV's rows of the chunk in one call.  Each value depends only on its own sample, so the
     bytes are those of the whole series.  The grid is an AngleGrid, whose rows each chunk
     makes when it reads them, so memory is one chunk's working set, whatever --periods is."""
+    from . import csvout, transform
+
     scenario = waveform.load_scenario(args.scenario)
     periods = args.periods
     if periods is None:
@@ -352,21 +194,25 @@ def cmd_simulate(args) -> int:
         return grid, [block for block, (wanted, _, _) in zip(blocks, outputs) if wanted]
 
     files = [(name, header) for wanted, name, header in outputs if wanted]
-    print(*_write(args.out, files, map(chunk, waveform.sample_chunks(scenario, angles))), sep="\n")
+    chunks = map(chunk, waveform.sample_chunks(scenario, angles))
+    print(*csvout._write(args.out, files, chunks), sep="\n")
     return 0
 
 
 def cmd_measure(args) -> int:
     """Sample the grid a chunk of sample_chunks at a time, add each chunk's noise from the
-    run's one default_rng(seed), and write the CSV as _write takes the chunks.  Each chunk
-    copies its rows of stream_window's slice, around --t1-angle and a quarter period
-    later, and the chunk that completes them estimates the frame before it is written:
-    a rejected estimate (exit 3) stops the stream there, and _write leaves no output.
+    run's one default_rng(seed), and write the CSV as csvout._write takes the chunks.
+    Each chunk copies its rows of stream_window's slice, around --t1-angle and a quarter
+    period later, and the chunk that completes them estimates the frame before it is
+    written: a rejected estimate (exit 3) stops the stream there, and csvout._write leaves
+    no output.
     The grid and the window are checked (exit 2, then exit 4) before --out is made.
     Each value and each row's noise draws depend only on the row, so the bytes are
     those of the whole series.  The grid is an AngleGrid, whose rows each chunk makes
     when it reads them, so memory does not grow with --periods."""
-    import numpy as np
+    from . import csvout, transform
+
+    import numpy as np  # after transform, the import order of the measured peaks
 
     if not math.isfinite(args.t1_angle):
         raise ScenarioError(f"t1 angle must be finite, got {args.t1_angle}")
@@ -407,7 +253,7 @@ def cmd_measure(args) -> int:
                 deviation = float(np.max(np.abs(estimate.forward - analytic.forward)))
             yield grid, [abc]
 
-    wrote = _write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc")], chunks())
+    wrote = csvout._write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc")], chunks())
     print(
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",
@@ -425,6 +271,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse drops an OSError of this write; raised, main reports it as any other
+        file = file or sys.stdout
+        if file is not None:  # None when the process started with fd 1 closed
+            file.write(self.format_help())
 
 
 def _subcommand(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
@@ -501,39 +353,60 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # 3x3 products gain nothing from OpenBLAS's thread pool; a value already set wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # an undeliverable --help raises OSError
         return args.func(args)
     except (ScenarioError, OSError, locus.LocusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(str(exc))
         if isinstance(exc, locus.MeasurementError):
             return 4
         return 3 if isinstance(exc, locus.LocusError) else 2
     except MemoryError as exc:  # past AngleGrid's size check: a gather table, the noise draw
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _report(str(exc) or "out of memory")
         return 2
+
+
+def _report(message: str) -> None:
+    """Print ``error: <message>`` on stderr; a stderr that cannot take it changes no exit code."""
+    with contextlib.suppress(OSError):
+        print(f"error: {message}", file=sys.stderr)
+
+
+def _flush(stream) -> OSError | None:
+    """Flush ``stream`` and return None, or the OSError of the flush, after pointing the
+    stream's fd at os.devnull, so the interpreter's own flush at exit cannot fail again."""
+    if stream is None:  # None when the process started with the fd closed
+        return None
+    try:
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
 
 
 def run():
     """Process entry of ``locusframe`` and ``python -m locusframe.cli``: exit with main's code.
 
-    Output still buffered on stdout is flushed here, so a closed or full stdout is one
-    ``error:`` line and exit 2 whether or not stdout is buffered; fd 1 then points at
-    os.devnull, so the interpreter's own flush at exit cannot fail again.  The heap is
-    frozen last: the full collections of interpreter shutdown skip every object main
-    left, while atexit handlers, the interpreter's flush and the exit code are as
-    before.  main itself freezes nothing, so in-process callers keep normal collection.
+    Output still buffered on stdout is flushed here, after main returned or argparse
+    exited (--help, a rejected argument), so a closed or full stdout is one ``error:``
+    line and exit 2 whether or not stdout is buffered.  stderr is flushed after it: one
+    that cannot take its report keeps the exit code.  The heap is frozen last: the full
+    collections of interpreter shutdown skip every object main left, while atexit
+    handlers, the interpreter's flush and the exit code are as before.  main itself
+    freezes nothing, so in-process callers keep normal collection.
     """
-    code = main()
     try:
-        if sys.stdout is not None:  # None when the process started with fd 1 closed
-            sys.stdout.flush()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    error = _flush(sys.stdout)
+    if error is not None:
+        _report(str(error))
         code = 2
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _flush(sys.stderr)
     gc.freeze()
     sys.exit(code)
 

@@ -261,11 +261,12 @@ def evaluate_scenario(scenario: PhasorScenario, angles) -> np.ndarray:
         raise ScenarioError(f"angles must be finite, got {angles.max()}")
     starts, amps, phases = _gather_tables(scenario)
     index = np.searchsorted(starts, angles, side="right") - 1
-    # the same operations as evaluate
-    out = phases[:, index]
+    # the same operations as evaluate; np.take gathers the same elements as
+    # table[:, index], several times faster on a (3, K) table
+    out = np.take(phases, index, axis=1)
     out += angles
     np.cos(out, out=out)
-    out *= amps[:, index]
+    out *= np.take(amps, index, axis=1)
     return out
 
 

@@ -32,7 +32,7 @@ from locusframe import (
     load_scenario,
     pipeline_locus,
 )
-from locusframe import cli, locus, transform, waveform
+from locusframe import cli, csvout, locus, transform, waveform
 from locusframe.locus import DEGENERACY_RTOL
 from locusframe.waveform import AMPLITUDE_MAX, TWO_PI
 from locusframe.cli import (
@@ -1570,17 +1570,19 @@ _SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def test_csv_tables_built_on_first_write(scenario_path, tmp_path):
-    # importing the CLI and running validate and matrix import no numpy and
-    # build no CSV word tables; a simulate after them still writes exact CSVs
+    # importing the CLI and running validate and matrix import neither numpy nor
+    # the CSV engine, so they build no CSV word tables; a simulate after them
+    # still writes exact CSVs
     script = (
         "import sys\n"
         "from locusframe import cli\n"
         "cli.main(['validate', sys.argv[1]])\n"
         "cli.main(['matrix', sys.argv[1]])\n"
-        "built = cli._csv_tables.cache_info().currsize\n"
+        "engine = 'locusframe.csvout' in sys.modules\n"
         "numpy = 'numpy' in sys.modules\n"
         "cli.main(['simulate', sys.argv[1], '--periods', '1', '--out', sys.argv[2]])\n"
-        "print(built, numpy, cli._csv_tables.cache_info().currsize)\n"
+        "from locusframe import csvout\n"
+        "print(engine, numpy, csvout._csv_tables.cache_info().currsize)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script, str(scenario_path), str(tmp_path)],
@@ -1589,7 +1591,7 @@ def test_csv_tables_built_on_first_write(scenario_path, tmp_path):
         env={**os.environ, "PYTHONPATH": _SRC},
         check=True,
     )
-    assert done.stdout.splitlines()[-1] == "0 False 1"
+    assert done.stdout.splitlines()[-1] == "False False 1"
     scenario = load_scenario(scenario_path)
     abc = abc_series(scenario, 1000, 1.0)
     frame = assemble(build_basis(scenario.segments[-1], PHASE_A_PEAK))
@@ -1624,7 +1626,7 @@ def test_csv_tables_equal_per_entry_strings():
         _reference_words("." + text for text in digits),
         _reference_words(text + end for end in ",\n" for text in digits),
     )
-    tables = cli._csv_tables.__wrapped__()
+    tables = csvout._csv_tables.__wrapped__()
     assert [table.dtype for table in tables] == [np.uint32] * 4
     assert [table.tolist() for table in tables] == [table.tolist() for table in reference]
 
@@ -1635,7 +1637,7 @@ def test_csv_tables_build_transient_is_small():
     # (about 89 KiB; 320 KiB from 8000 per-entry strings)
     tracemalloc.start()
     try:
-        cli._csv_tables.__wrapped__()
+        csvout._csv_tables.__wrapped__()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1727,42 +1729,104 @@ def interpreter_modules():
     return _importtime(["-c", "pass"])[1]
 
 
+#: the package's modules a process of the analytic subcommands loads
+_ANALYTIC = {"locusframe", "locusframe.locus", "locusframe.waveform"}
+#: and of the streamed ones, which sample arrays and write CSVs
+_STREAMED = _ANALYTIC | {"locusframe.transform", "locusframe.csvout"}
+
+
 @pytest.mark.parametrize(
-    "scenario, argv",
+    "scenario, argv, modules",
     [
+        pytest.param("scenario_path", ["validate"], _ANALYTIC, id="validate"),
         *(
-            pytest.param("scenario_path", argv, id=" ".join(argv))
+            pytest.param(
+                "scenario_path", argv, _ANALYTIC | {"locusframe.transform"}, id=" ".join(argv)
+            )
             for argv in [
-                ["validate"],
                 ["matrix"],
                 *(
                     ["matrix", "--orientation", orientation, "--normalized", "--segment", "2"]
                     for orientation in ("phase-a-peak", "max-norm", "angle:0.4")
                 ),
-                # the parsers built from the shared option helpers
-                ["simulate", "--help"],
-                ["measure", "--help"],
             ]
         ),
+        # the parsers built from the shared option helpers
+        pytest.param("scenario_path", ["simulate", "--help"], _ANALYTIC, id="simulate --help"),
+        pytest.param("scenario_path", ["measure", "--help"], _ANALYTIC, id="measure --help"),
         # the [degenerate] branch, where the basis gate rejects the segment
-        pytest.param("degenerate_scenario_path", ["validate"], id="validate degenerate"),
+        pytest.param("degenerate_scenario_path", ["validate"], _ANALYTIC, id="validate degenerate"),
         # five segments, three of them rejected, each by a different test of the gate
-        pytest.param("degenerate_loci_path", ["validate"], id="validate degenerate_loci.json"),
+        pytest.param(
+            "degenerate_loci_path", ["validate"], _ANALYTIC, id="validate degenerate_loci.json"
+        ),
         # what every locusframe process pays before its subcommand runs
-        pytest.param(None, None, id="import locusframe.cli"),
+        pytest.param(None, None, _ANALYTIC | {"locusframe.cli"}, id="import locusframe.cli"),
+        # the streamed subcommands, the only ones that import numpy
+        pytest.param(
+            "scenario_path", ["simulate", "--periods", "2", "--out", "{out}"], _STREAMED,
+            id="simulate",
+        ),
+        pytest.param(
+            "scenario_path", ["measure", "--noise", "0.01", "--out", "{out}"], _STREAMED,
+            id="measure",
+        ),
     ],
 )
-def test_validate_and_matrix_import_no_numpy(request, interpreter_modules, scenario, argv):
+def test_validate_and_matrix_import_no_numpy(
+    request, tmp_path, interpreter_modules, scenario, argv, modules
+):
     if scenario is None:
         done, imported = _importtime(["-c", "import locusframe.cli"])
     else:
         path = request.getfixturevalue(scenario)
-        done, imported = _importtime(["-m", "locusframe.cli", argv[0], str(path), *argv[1:]])
+        options = [a.format(out=tmp_path) for a in argv[1:]]
+        done, imported = _importtime(["-m", "locusframe.cli", argv[0], str(path), *options])
     assert ("[degenerate]" in done.stdout) == (scenario or "").startswith("degenerate")
-    assert "locusframe.transform" in imported
+    # exactly the modules the subcommand runs: sequence never, transform only where a
+    # frame matrix is assembled, and the CSV engine only where a CSV is written
+    assert {name for name in imported if name.split(".")[0] == "locusframe"} == modules
+    if modules == _STREAMED:
+        assert "numpy" in imported
+        return
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
     # dataclasses would bring inspect, ast, dis and tokenize into every process
     assert not {"dataclasses", "inspect"} & (imported - interpreter_modules)
+
+
+def test_package_exports_resolve_on_first_use():
+    # `import locusframe` loads no submodule; each export, submodule and the star
+    # import resolve on first use, and a resolved name is kept in the package
+    script = (
+        "import sys\n"
+        "import locusframe\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('locusframe.'))\n"
+        "print(loaded())\n"
+        "print(locusframe.fortescue.__module__, 'fortescue' in vars(locusframe), loaded())\n"
+        "print(locusframe.waveform.__name__, 'waveform' in dir(locusframe))\n"
+        "names = {}\n"
+        "exec('from locusframe import *', names)\n"
+        "print(sorted(set(locusframe.__all__) - set(names)), loaded())\n"
+        "try:\n"
+        "    locusframe.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        check=True,
+    )
+    every = [f"locusframe.{name}" for name in ("locus", "sequence", "transform", "waveform")]
+    assert done.stdout.splitlines() == [
+        "[]",
+        "locusframe.sequence True ['locusframe.sequence', 'locusframe.waveform']",
+        "locusframe.waveform True",
+        f"[] {every}",
+        "module 'locusframe' has no attribute 'no_such_name'",
+    ]
 
 
 def _golden_runs():
@@ -1871,7 +1935,7 @@ def test_write_series_csv_exact_values(tmp_path, value, rendered):
     write_series_csv(path, TransformedSeries(angles, coords), "t,Va,Vb,Vc")
     assert path.read_bytes() == _percent_csv("t,Va,Vb,Vc", angles, coords)
     # rendered from the word tables, or declined to %-formatting
-    assert (cli._fixed_rows(np.full(1, value), np.full((3, 1), value)) is not None) == rendered
+    assert (csvout._fixed_rows(np.full(1, value), np.full((3, 1), value)) is not None) == rendered
 
 
 def _nudge(x: float, ulps: int) -> float:

@@ -1,7 +1,8 @@
 """The process entry ``cli.run``: the console script and ``python -m locusframe.cli``.
 
-``run`` exits with ``main``'s code after flushing stdout and freezing the heap, so
-interpreter shutdown skips its full collections; ``main`` freezes nothing.
+``run`` exits with ``main``'s code, or argparse's, after flushing stdout and stderr and
+freezing the heap, so interpreter shutdown skips its full collections; ``main`` freezes
+nothing.
 """
 
 import ast
@@ -34,16 +35,21 @@ def _env(unbuffered):
     return env
 
 
-@pytest.mark.parametrize(
+EXIT_CODES = pytest.mark.parametrize(
     "scenario, argv, expected",
     [
         ("scenario_path", ["validate"], 0),
         (None, ["validate", "no-such-file.json"], 2),
         ("degenerate_scenario_path", ["matrix"], 3),
         ("scenario_path", ["measure", "--t1-angle", "700", "--out", "{out}"], 4),
+        # argparse's exit from inside main
+        (None, ["matrix", "--no-such-option"], 2),
     ],
-    ids=["exit 0", "exit 2", "exit 3", "exit 4"],
+    ids=["exit 0", "exit 2", "exit 3", "exit 4", "rejected argument"],
 )
+
+
+@EXIT_CODES
 def test_main_block_passes_the_exit_code_and_freezes(request, tmp_path, scenario, argv, expected):
     # the module run as __main__, as `python -m locusframe.cli` runs it
     wrapper = (
@@ -134,14 +140,66 @@ def test_undeliverable_stdout_is_one_error_line(scenario_path, tmp_path, argv, s
 
 @pytest.mark.skipif(sys.platform == "win32", reason="closes fd 1 through sh")
 def test_stdout_closed_at_start_is_no_error(scenario_path, tmp_path):
-    # Python starts with sys.stdout None, and print writes nothing
+    # Python starts with sys.stdout None: print writes nothing, and validate's one
+    # write of its report is skipped
     out = tmp_path / "out"
-    args = ["simulate", str(scenario_path), "--out", str(out)]
-    done = subprocess.run(
-        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "locusframe.cli", *args],
-        stderr=subprocess.PIPE,
-        text=True,
-        env=_env(False),
-    )
-    assert (done.returncode, done.stderr) == (0, "")
+    for args in [
+        ["simulate", str(scenario_path), "--out", str(out)],
+        ["validate", str(scenario_path)],
+    ]:
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "locusframe.cli", *args],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env(False),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
     assert len(list(out.glob("*.csv"))) == 5
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "stdout, code",
+    [(_closed_pipe, errno.EPIPE), (_full_device, errno.ENOSPC)],
+    ids=["closed pipe", "/dev/full"],
+)
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]], ids=" ".join)
+def test_undeliverable_help_is_one_error_line(argv, stdout, code, unbuffered):
+    # argparse exits from inside main once the help text is written: buffered, that
+    # text reaches stdout only in run's flush; unbuffered, its write fails in print_help
+    fd = stdout()
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "locusframe.cli", *argv],
+            stdout=fd,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env(unbuffered),
+        )
+    finally:
+        os.close(fd)
+    assert (done.returncode, done.stderr) == (2, f"error: {OSError(code, os.strerror(code))}\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@EXIT_CODES
+def test_unwritable_stderr_keeps_the_exit_code(
+    request, tmp_path, scenario, argv, expected, unbuffered
+):
+    # the error: line cannot be written, in main's print or in run's flush of stderr
+    stderr = _full_device()
+    path = [str(request.getfixturevalue(scenario))] if scenario else []
+    args = [argv[0], *path, *(a.format(out=tmp_path / "out") for a in argv[1:])]
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "locusframe.cli", *args],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+            cwd=tmp_path,
+            env=_env(unbuffered),
+        )
+    finally:
+        os.close(stderr)
+    assert done.returncode == expected
+    assert (done.stdout == "") == (expected != 0)
