@@ -116,10 +116,10 @@ def _pick_segment(scenario, index_1based: int | None):
     return index_1based - 1
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> list[str]:
+    """The lines of validate's report: the scenario, then one line per segment."""
     scenario = waveform.load_scenario(args.scenario)
-    count = len(scenario.segments)
-    lines = [f"scenario: {_number(scenario.frequency_hz)} Hz, {count} segment(s)\n"]
+    lines = [f"scenario: {_number(scenario.frequency_hz)} Hz, {len(scenario.segments)} segment(s)"]
     for k, segment in enumerate(scenario.segments, start=1):
         amps = " ".join(_number(a) for a in segment.amplitudes)
         offs = " ".join(f"{math.degrees(p):.6f}" for p in segment.phase_offsets)
@@ -127,12 +127,9 @@ def cmd_validate(args) -> int:
         flag = "  [degenerate]" if degenerate else ""
         lines.append(
             f"  segment {k}: start {_number(segment.start_angle / TWO_PI)} periods, "
-            f"amplitudes {amps}, offsets_deg {offs}, degeneracy {metric:.6f}{flag}\n"
+            f"amplitudes {amps}, offsets_deg {offs}, degeneracy {metric:.6f}{flag}"
         )
-    # one write of the whole report: unbuffered, each print makes two system calls
-    if sys.stdout is not None:  # None when the process started with fd 1 closed
-        sys.stdout.write("".join(lines))
-    return 0
+    return lines
 
 
 def _frame(args, scenario, index: int):
@@ -143,21 +140,22 @@ def _frame(args, scenario, index: int):
     return basis, transform.assemble(basis, normalized=args.normalized)
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(args) -> list[str]:
+    """The lines of matrix's report: the segment's frame, its forward and inverse rows."""
     scenario = waveform.load_scenario(args.scenario)
     index = _pick_segment(scenario, args.segment)
     basis, frame = _frame(args, scenario, index)
     suffix = ", normalized" if args.normalized else ""
-    print(f"segment {index + 1}, orientation {orientation_label(args.orientation)}{suffix}")
-    print(f"theta_o = {frame.theta_o:.6f} rad")
-    n1, n2 = basis.norms
-    print(f"|e1| = {_number(n1)}  |e2| = {_number(n2)}  degeneracy = {basis.degeneracy:.6f}")
-    for title, rows in (("forward:", frame.rows), ("inverse:", zip(*frame.columns))):
-        print(title, *matrix_lines(rows), sep="\n")
-    return 0
+    (n1, n2), g = basis.norms, basis.degeneracy
+    return [
+        f"segment {index + 1}, orientation {orientation_label(args.orientation)}{suffix}",
+        f"theta_o = {frame.theta_o:.6f} rad",
+        f"|e1| = {_number(n1)}  |e2| = {_number(n2)}  degeneracy = {g:.6f}",
+        "forward:", *matrix_lines(frame.rows), "inverse:", *matrix_lines(zip(*frame.columns)),
+    ]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[str]:
     """Sample the scenario on its grid a chunk of sample_chunks at a time, map and rotate
     each chunk into the requested frames in one transform.map_rotate call, and render each
     CSV's rows of the chunk in one call.  Each value depends only on its own sample, so the
@@ -194,12 +192,10 @@ def cmd_simulate(args) -> int:
         return grid, [block for block, (wanted, _, _) in zip(blocks, outputs) if wanted]
 
     files = [(name, header) for wanted, name, header in outputs if wanted]
-    chunks = map(chunk, waveform.sample_chunks(scenario, angles))
-    print(*csvout._write(args.out, files, chunks), sep="\n")
-    return 0
+    return csvout._write(args.out, files, map(chunk, waveform.sample_chunks(scenario, angles)))
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> list[str]:
     """Sample the grid a chunk of sample_chunks at a time, add each chunk's noise from the
     run's one default_rng(seed), and write the CSV as csvout._write takes the chunks.
     Each chunk copies its rows of stream_window's slice, around --t1-angle and a quarter
@@ -254,15 +250,12 @@ def cmd_measure(args) -> int:
             yield grid, [abc]
 
     wrote = csvout._write(args.out, [("V_abc_measured.csv", "t,Va,Vb,Vc")], chunks())
-    print(
+    return [
         f"samples per period: {args.rate}",
         f"t1 angle: {_number(args.t1_angle)} rad",
         f"noise sigma: {_number(args.noise)} (seed {args.seed})",
-        *wrote,
-        f"max forward deviation: {deviation:.6e}",
-        sep="\n",
-    )
-    return 0
+        *wrote, f"max forward deviation: {deviation:.6e}",
+    ]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,13 +263,12 @@ class _Parser(argparse.ArgumentParser):
     subparsers inherit it."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        _report(message)
+        self.exit(2)
 
     def print_help(self, file=None):
         # argparse drops an OSError of this write; raised, main reports it as any other
-        file = file or sys.stdout
-        if file is not None:  # None when the process started with fd 1 closed
-            file.write(self.format_help())
+        _emit(file or sys.stdout, self.format_help())
 
 
 def _subcommand(sub, name: str, help_text: str, func) -> argparse.ArgumentParser:
@@ -355,7 +347,9 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)  # an undeliverable --help raises OSError
-        return args.func(args)
+        # the report in one write: unbuffered, a print makes a call per argument and separator
+        _emit(sys.stdout, "\n".join(args.func(args)) + "\n")
+        return 0
     except (ScenarioError, OSError, locus.LocusError) as exc:
         _report(str(exc))
         if isinstance(exc, locus.MeasurementError):
@@ -366,10 +360,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def _emit(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` in one call; a None stream (fd closed at start) drops it."""
+    if stream is not None:
+        stream.write(text)
+
+
 def _report(message: str) -> None:
-    """Print ``error: <message>`` on stderr; a stderr that cannot take it changes no exit code."""
+    """Write ``error: <message>`` on stderr; a stderr that cannot take it changes no exit code."""
     with contextlib.suppress(OSError):
-        print(f"error: {message}", file=sys.stderr)
+        _emit(sys.stderr, f"error: {message}\n")
 
 
 def _flush(stream) -> OSError | None:

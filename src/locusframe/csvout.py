@@ -146,7 +146,7 @@ def _write_rows(handle, angles, coords) -> None:
 def _write(out, files, chunks) -> list[str]:
     """Write one CSV in ``out`` per ``(name, header)`` of ``files``, its rows those of the
     matching (3, n) block of each ``(angles, [block, ...])`` that ``chunks`` yields, and
-    return the ``wrote <path>`` lines for the caller to print.
+    return the ``wrote <path>`` lines for the caller's report.
 
     All or nothing: each CSV is written under a temporary name and renamed once the last
     chunk is written.  On any failure, making ``out`` or computing a chunk included, the

@@ -8,6 +8,7 @@ nothing.
 import ast
 import errno
 import gc
+import io
 import os
 import subprocess
 import sys
@@ -49,6 +50,21 @@ EXIT_CODES = pytest.mark.parametrize(
 )
 
 
+def _args(request, tmp_path, scenario, argv):
+    """``argv`` with the ``scenario`` fixture's path after the subcommand, if any, and
+    ``{out}`` pointing into ``tmp_path``."""
+    path = [str(request.getfixturevalue(scenario))] if scenario else []
+    return [argv[0], *path, *(a.format(out=tmp_path / "out") for a in argv[1:])]
+
+
+def _main_in_process(args) -> int:
+    """``cli.main(args)``'s code, or argparse's exit code."""
+    try:
+        return cli.main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 @EXIT_CODES
 def test_main_block_passes_the_exit_code_and_freezes(request, tmp_path, scenario, argv, expected):
     # the module run as __main__, as `python -m locusframe.cli` runs it
@@ -60,10 +76,8 @@ def test_main_block_passes_the_exit_code_and_freezes(request, tmp_path, scenario
         "except SystemExit as exc:\n"
         "    print('exit', exc.code, gc.get_freeze_count() > 0)\n"
     )
-    path = [str(request.getfixturevalue(scenario))] if scenario else []
-    args = [argv[0], *path, *(a.format(out=tmp_path / "out") for a in argv[1:])]
     done = subprocess.run(
-        [sys.executable, "-c", wrapper, *args],
+        [sys.executable, "-c", wrapper, *_args(request, tmp_path, scenario, argv)],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -139,22 +153,58 @@ def test_undeliverable_stdout_is_one_error_line(scenario_path, tmp_path, argv, s
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="closes fd 1 through sh")
-def test_stdout_closed_at_start_is_no_error(scenario_path, tmp_path):
-    # Python starts with sys.stdout None: print writes nothing, and validate's one
-    # write of its report is skipped
-    out = tmp_path / "out"
-    for args in [
-        ["simulate", str(scenario_path), "--out", str(out)],
-        ["validate", str(scenario_path)],
-    ]:
+def test_stdout_closed_at_start_is_no_error(request, tmp_path):
+    # Python starts with sys.stdout None: main's one write of each report, and
+    # print_help's of the help text, are skipped
+    for argv in [*SUBCOMMANDS, ["--help"]]:
+        args = _args(request, tmp_path, None if "--help" in argv else "scenario_path", argv)
         done = subprocess.run(
             ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "locusframe.cli", *args],
             stderr=subprocess.PIPE,
             text=True,
             env=_env(False),
         )
-        assert (done.returncode, done.stderr) == (0, "")
-    assert len(list(out.glob("*.csv"))) == 5
+        assert (done.returncode, done.stderr) == (0, ""), args
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 6  # simulate's 5, measure's 1
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [*SUBCOMMANDS, ["--help"], ["matrix", "--help"]], ids=" ".join)
+def test_each_report_is_one_write(monkeypatch, request, tmp_path, argv):
+    # main writes the whole report, print_help the whole help text, in one call: with
+    # PYTHONUNBUFFERED each call is a write system call
+    args = _args(request, tmp_path, None if "--help" in argv else "scenario_path", argv)
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert _main_in_process(args) == 0
+    assert len(stdout.writes) == 1
+    assert stdout.writes[0] == stdout.getvalue()
+    assert stdout.getvalue().endswith("\n") and stdout.getvalue().count("\n") > 1
+
+
+@EXIT_CODES
+def test_no_stderr_drops_the_error_line_and_keeps_the_code(
+    monkeypatch, request, tmp_path, scenario, argv, expected
+):
+    # sys.stderr is None when the process started with fd 2 closed: each error: line,
+    # argparse's rejection included, is dropped and none lands on stdout
+    args = _args(request, tmp_path, scenario, argv)
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert _main_in_process(args) == expected
+    assert (stdout.getvalue() == "") == (expected != 0)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -186,13 +236,11 @@ def test_undeliverable_help_is_one_error_line(argv, stdout, code, unbuffered):
 def test_unwritable_stderr_keeps_the_exit_code(
     request, tmp_path, scenario, argv, expected, unbuffered
 ):
-    # the error: line cannot be written, in main's print or in run's flush of stderr
+    # the error: line cannot be written, in _report's write or in run's flush of stderr
     stderr = _full_device()
-    path = [str(request.getfixturevalue(scenario))] if scenario else []
-    args = [argv[0], *path, *(a.format(out=tmp_path / "out") for a in argv[1:])]
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "locusframe.cli", *args],
+            [sys.executable, "-m", "locusframe.cli", *_args(request, tmp_path, scenario, argv)],
             stdout=subprocess.PIPE,
             stderr=stderr,
             text=True,
