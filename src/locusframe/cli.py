@@ -86,12 +86,14 @@ def matrix_lines(matrix) -> list[str]:
 
 
 def write_series_csv(path, series: waveform.TransformedSeries, header: str) -> None:
-    """Write a series as CSV: ``header``, then the rows of :func:`csvout._write_rows`."""
+    """Write a series as CSV, ``header`` then its rows, all or nothing: one csvout._write
+    of the series in slices of waveform._CHUNK_ROWS rows."""
     from . import csvout
 
-    with open(path, "wb") as handle:
-        handle.write(header.encode("ascii") + b"\n")
-        csvout._write_rows(handle, series.angles, series.coords)
+    angles, coords, step = series.angles, series.coords, waveform._CHUNK_ROWS
+    chunks = ((angles[lo : lo + step], [coords[:, lo : lo + step]])
+              for lo in range(0, angles.size, step))
+    csvout._write(os.path.dirname(path) or ".", [(os.path.basename(path), header)], chunks)
 
 
 def _segment_degeneracy(segment):

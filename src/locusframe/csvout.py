@@ -1,22 +1,21 @@
-"""CSV engine of the streamed subcommands: rows rendered from word tables, files
-written all or nothing.
+"""CSV engine of the package: rows rendered from word tables, files written all or
+nothing.
 
 Each value reads as ``"%.6f" % x`` gives it.  :func:`_fixed_rows` renders a block of
 rows from four tables of 4-byte ASCII words when it can prove the rounding exact, and
-:func:`_write_rows` %-formats a block it declines.  :func:`_write` writes the CSVs of a
-run under temporary names and renames them once the last chunk is written.  The CLI
-imports this module only where it writes a CSV, so ``validate`` and ``matrix`` never
-compile it.
+:func:`_rows` %-formats a block it declines.  :func:`_write` writes every CSV the
+package writes, in the blocks its caller cuts, under temporary names, and renames them
+once the last block is written.  The CLI imports this module only where it writes a
+CSV, so ``validate`` and ``matrix`` never compile it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import os
 from typing import TYPE_CHECKING
-
-from . import waveform
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,33 +122,28 @@ def _fixed_rows(angles: np.ndarray, coords: np.ndarray) -> bytes | None:
     return text.translate(None, b"\0")
 
 
-def _write_rows(handle, angles, coords) -> None:
-    """Append the CSV rows ``angles[i], *coords[:, i]`` to ``handle``, %.6f comma-separated.
+def _rows(angles, block) -> bytes:
+    """The CSV rows ``angles[i], *block[:, i]``: those of :func:`_fixed_rows`, or
+    %-formatted where it declines.  Both give the bytes of ``f"{x:.6f}"``, ``-0.000000``
+    included."""
+    text = _fixed_rows(angles, block)
+    if text is None:
+        import numpy as np
 
-    Each slice of waveform._CHUNK_ROWS rows is rendered in one call of
-    :func:`_fixed_rows`; a slice it cannot prove exact is %-formatted instead.
-    Both give the bytes of ``f"{x:.6f}"``, ``-0.000000`` included.
-    """
-    import numpy as np
-
-    step = waveform._CHUNK_ROWS
-    for lo in range(0, angles.size, step):
-        rows, block = angles[lo : lo + step], coords[:, lo : lo + step]
-        text = _fixed_rows(rows, block)
-        if text is None:
-            values = np.column_stack([rows, block.T]).ravel().tolist()
-            text = (_CSV_ROW * rows.size % tuple(values)).encode("ascii")
-        handle.write(text)
-
+        values = np.column_stack([angles, block.T]).ravel().tolist()
+        text = (_CSV_ROW * angles.size % tuple(values)).encode("ascii")
+    return text
 
 
 def _write(out, files, chunks) -> list[str]:
     """Write one CSV in ``out`` per ``(name, header)`` of ``files``, its rows those of the
     matching (3, n) block of each ``(angles, [block, ...])`` that ``chunks`` yields, and
-    return the ``wrote <path>`` lines for the caller's report.
+    return the ``wrote <path>`` lines for the caller's report.  Every CSV the package
+    writes goes through here; each block is rendered by one :func:`_rows` call.
 
-    All or nothing: each CSV is written under a temporary name and renamed once the last
-    chunk is written.  On any failure, making ``out`` or computing a chunk included, the
+    All or nothing: a destination that is a directory is refused before anything is
+    made; each CSV is written under a temporary name and renamed once the last chunk is
+    written.  On any other failure, making ``out`` or computing a chunk included, the
     temporaries, the CSVs already renamed and the directories this call created are
     removed before the error propagates.
     """
@@ -159,6 +153,9 @@ def _write(out, files, chunks) -> list[str]:
         made.append(head)
         head = os.path.dirname(head)
     paths = [os.path.join(out, name) for name, _ in files]
+    for path in paths:
+        if os.path.isdir(path):  # a rename onto it would fail after older CSVs were replaced
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temps = [os.path.join(out, f".{name}.tmp") for name, _ in files]
     done = []
     try:
@@ -171,7 +168,7 @@ def _write(out, files, chunks) -> list[str]:
                 # each block is dropped once written: the heap reuses its memory for the
                 # blocks after it instead of returning it, and the next chunk starts empty
                 for handle in handles:
-                    _write_rows(handle, angles, blocks.pop(0))
+                    handle.write(_rows(angles, blocks.pop(0)))
                 del angles
         for temp, path in zip(temps, paths):
             os.replace(temp, path)

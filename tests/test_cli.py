@@ -950,12 +950,15 @@ def test_shared_options_parse_alike():
 )
 def test_failed_write_prints_nothing(capsys, scenario_path, tmp_path, subcommand, taken):
     # the "wrote" lines, and measure's report lines, come out only after every CSV
-    # is written; simulate moves V_abc.csv into place before the taken name fails,
-    # and takes it out again
+    # is written; a destination that is a directory is refused before any CSV is
+    # made, so an older V_abc.csv, which simulate would replace, keeps its bytes
     (tmp_path / taken).mkdir()
+    (tmp_path / "V_abc.csv").write_bytes(b"previous run\n")
     code, out, err = _run(capsys, [subcommand, str(scenario_path), "--out", str(tmp_path)])
     _assert_rejected(code, out, err)
-    assert [path.name for path in tmp_path.iterdir()] == [taken]
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path / taken}'\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([taken, "V_abc.csv"])
+    assert (tmp_path / "V_abc.csv").read_bytes() == b"previous run\n"
 
 
 _CHUNK = waveform._CHUNK_ROWS
@@ -1886,6 +1889,33 @@ def test_write_series_csv_empty_series(tmp_path):
     path = tmp_path / "empty.csv"
     write_series_csv(path, TransformedSeries(np.empty(0), np.empty((3, 0))), "t,Va,Vb,Vc")
     assert path.read_bytes() == b"t,Va,Vb,Vc\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["empty.csv"]
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["in-directory", "bare-name"])
+def test_write_series_csv_all_or_nothing(monkeypatch, tmp_path, bare):
+    # the second slice fails after the first was rendered: the file already at the
+    # path keeps its bytes and no temporary is left; a bare name writes into "."
+    fixed_rows = csvout._fixed_rows
+    calls = []
+
+    def exhausted_on_second_slice(angles, coords):
+        calls.append(len(angles))
+        if len(calls) == 2:
+            raise MemoryError()
+        return fixed_rows(angles, coords)
+
+    monkeypatch.setattr(csvout, "_fixed_rows", exhausted_on_second_slice)
+    monkeypatch.chdir(tmp_path)
+    path = "x.csv" if bare else tmp_path / "x.csv"
+    (tmp_path / "x.csv").write_bytes(b"older run\n")
+    n = _CHUNK + 3
+    series = TransformedSeries(np.arange(n) * 0.01, np.ones((3, n)))
+    with pytest.raises(MemoryError):
+        write_series_csv(path, series, "t,Va,Vb,Vc")
+    assert calls == [_CHUNK, 3]
+    assert [entry.name for entry in tmp_path.iterdir()] == ["x.csv"]
+    assert (tmp_path / "x.csv").read_bytes() == b"older run\n"
 
 
 def _percent_csv(header, angles, coords) -> bytes:
