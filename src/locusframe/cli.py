@@ -389,17 +389,47 @@ def _flush(stream) -> OSError | None:
     return None
 
 
+#: CPython's own hash modules, which hashlib, hmac and secrets fall back on when OpenSSL's
+#: _hashlib does not import (_sha256 and _sha512 are one _sha2 from Python 3.12)
+_BUILTIN_HASHES = (
+    "_md5",
+    "_sha1",
+    *(("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")),
+    "_blake2",
+    "_sha3",
+)
+
+
+def _keep_openssl_out() -> None:
+    """Make ``import _hashlib`` fail in this process, if the interpreter has its own hashes.
+
+    numpy.random imports secrets, and with it hmac and hashlib, only to seed an unseeded
+    generator from OS entropy, and measure seeds the one it makes; without _hashlib the
+    three take CPython's hash modules and OpenSSL is never loaded.  An interpreter that
+    lacks one of them (a FIPS-style build that keeps only blake2) keeps OpenSSL, since
+    hashlib would log each hash it cannot build.  find_spec gives None for a name whose
+    sys.modules entry is None, so a module blocked that way counts as missing.
+    """
+    from importlib.util import find_spec
+
+    if all(find_spec(name) for name in _BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
+
+
 def run():
     """Process entry of ``locusframe`` and ``python -m locusframe.cli``: exit with main's code.
 
-    Output still buffered on stdout is flushed here, after main returned or argparse
-    exited (--help, a rejected argument), so a closed or full stdout is one ``error:``
-    line and exit 2 whether or not stdout is buffered.  stderr is flushed after it: one
-    that cannot take its report keeps the exit code.  The heap is frozen last: the full
-    collections of interpreter shutdown skip every object main left, while atexit
-    handlers, the interpreter's flush and the exit code are as before.  main itself
-    freezes nothing, so in-process callers keep normal collection.
+    OpenSSL is kept out of the process first (``_keep_openssl_out``), which takes about
+    3.4 MiB off a noisy measure's peak and leaves its noise as it was.  Output still
+    buffered on stdout is flushed after main returned or argparse exited (--help, a
+    rejected argument), so a closed or full stdout is one ``error:`` line and exit 2
+    whether or not stdout is buffered.  stderr is flushed after it: one that cannot
+    take its report keeps the exit code.  The heap is frozen last: the full collections
+    of interpreter shutdown skip every object main left, while atexit handlers, the
+    interpreter's flush and the exit code are as before.  main itself blocks and freezes
+    nothing, so in-process callers keep their hashlib and normal collection.
     """
+    _keep_openssl_out()
     try:
         code = main()
     except SystemExit as exc:

@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, file artifacts, exit codes."""
 
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -1713,8 +1714,19 @@ def test_blas_threads_do_not_change_bytes(scenario_path, tmp_path, argv):
     assert outputs[0] == outputs[1]
 
 
+#: ``python -m locusframe.cli`` as a -c script that lists, at exit, the modules then
+#: loaded; a halted import (a None entry in sys.modules) still has an importtime line
+_RUN_AS_MAIN = (
+    "import atexit, runpy, sys\n"
+    "loaded = lambda: sorted(n for n, m in sys.modules.items() if m is not None)\n"
+    "atexit.register(lambda: print('loaded:', *loaded(), file=sys.stderr))\n"
+    "runpy.run_module('locusframe.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
 def _importtime(args):
-    """(completed run, set of module names) of ``python -X importtime <args>``."""
+    """(completed run, set of module names, set loaded at exit or None) of
+    ``python -X importtime <args>``."""
     done = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
         capture_output=True,
@@ -1722,14 +1734,26 @@ def _importtime(args):
         env={**os.environ, "PYTHONPATH": _SRC},
         check=True,
     )
-    # "import time: <self> | <cumulative> | <indented module name>"
-    return done, {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    imported, loaded = set(), None
+    for line in done.stderr.splitlines():
+        if line.startswith("loaded:"):
+            loaded = set(line.split()[1:])
+        else:
+            # "import time: <self> | <cumulative> | <indented module name>"
+            imported.add(line.rsplit("|", 1)[-1].strip())
+    return done, imported, loaded
 
 
 @pytest.fixture(scope="module")
 def interpreter_modules():
     """Modules this interpreter imports for ``-c pass``, site hooks included."""
     return _importtime(["-c", "pass"])[1]
+
+
+@pytest.fixture(scope="module")
+def numpy_modules():
+    """Modules ``import numpy`` loads (numpy.random among them before numpy 2)."""
+    return _importtime(["-c", "import numpy"])[1]
 
 
 #: the package's modules a process of the analytic subcommands loads
@@ -1774,23 +1798,33 @@ _STREAMED = _ANALYTIC | {"locusframe.transform", "locusframe.csvout"}
             "scenario_path", ["measure", "--noise", "0.01", "--out", "{out}"], _STREAMED,
             id="measure",
         ),
+        pytest.param(
+            "scenario_path", ["measure", "--out", "{out}"], _STREAMED, id="measure noiseless"
+        ),
     ],
 )
 def test_validate_and_matrix_import_no_numpy(
-    request, tmp_path, interpreter_modules, scenario, argv, modules
+    request, tmp_path, interpreter_modules, numpy_modules, scenario, argv, modules
 ):
     if scenario is None:
-        done, imported = _importtime(["-c", "import locusframe.cli"])
+        done, imported, loaded = _importtime(["-c", "import locusframe.cli"])
     else:
         path = request.getfixturevalue(scenario)
         options = [a.format(out=tmp_path) for a in argv[1:]]
-        done, imported = _importtime(["-m", "locusframe.cli", argv[0], str(path), *options])
+        done, imported, loaded = _importtime(["-c", _RUN_AS_MAIN, argv[0], str(path), *options])
     assert ("[degenerate]" in done.stdout) == (scenario or "").startswith("degenerate")
     # exactly the modules the subcommand runs: sequence never, transform only where a
     # frame matrix is assembled, and the CSV engine only where a CSV is written
     assert {name for name in imported if name.split(".")[0] == "locusframe"} == modules
     if modules == _STREAMED:
         assert "numpy" in imported
+        # only a noisy measure makes a generator, and cli.run keeps OpenSSL out of the
+        # process, so numpy.random seeds it on CPython's own hashes (where it has them)
+        noisy = "--noise" in argv
+        assert ("numpy.random" in loaded) == (noisy or "numpy.random" in numpy_modules)
+        assert ("secrets" in loaded) == (noisy or "secrets" in numpy_modules)
+        own_hashes = all(importlib.util.find_spec(name) for name in cli._BUILTIN_HASHES)
+        assert ("_hashlib" in loaded) != own_hashes
         return
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
     # dataclasses would bring inspect, ast, dis and tokenize into every process

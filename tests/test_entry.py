@@ -95,6 +95,42 @@ def test_main_in_process_freezes_nothing(capsys, scenario_path, tmp_path):
     assert gc.get_freeze_count() == before
 
 
+def _measured(out, stdout):
+    """(stdout with ``out`` as OUT, {CSV name: bytes}) of a measure run into ``out``."""
+    csvs = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return stdout.replace(os.fsencode(out), b"OUT"), csvs
+
+
+@pytest.mark.parametrize("seed", ["7", "2024"])
+def test_noise_does_not_depend_on_the_hash_backend(capsysbinary, scenario_path, tmp_path, seed):
+    # run keeps OpenSSL's _hashlib out of its process, so numpy.random imports hashlib on
+    # CPython's own hashes there; a seeded generator draws the same noise as in this
+    # process, whose hashlib is OpenSSL's.  With the builtin hashes blocked but blake2 (a
+    # FIPS-style build), run keeps OpenSSL and hashlib logs no missing hash.
+    pytest.importorskip("_hashlib")
+    argv = ["measure", str(scenario_path), "--periods", "3", "--noise", "0.05", "--seed", seed]
+    assert _main_in_process([*argv, "--out", str(tmp_path / "main")]) == 0
+    expected = _measured(tmp_path / "main", capsysbinary.readouterr().out)
+    fips = [name for name in cli._BUILTIN_HASHES if name != "_blake2"]
+    for blocked, openssl in (([], False), (fips, True)):
+        wrapper = (
+            "import atexit, runpy, sys\n"
+            f"sys.modules.update(dict.fromkeys({blocked!r}))\n"
+            "atexit.register(lambda: print('_hashlib', sys.modules.get('_hashlib') is not None))\n"
+            "runpy.run_module('locusframe.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        out = tmp_path / f"openssl-{openssl}"
+        done = subprocess.run(
+            [sys.executable, "-c", wrapper, *argv, "--out", str(out)],
+            capture_output=True,
+            env=_env(False),
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        report, _, last = done.stdout.rstrip(b"\n").rpartition(b"\n")
+        assert last == f"_hashlib {openssl}".encode()
+        assert _measured(out, report + b"\n") == expected
+
+
 def test_console_script_is_the_main_block_entry():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
