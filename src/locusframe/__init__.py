@@ -48,6 +48,7 @@ _EXPORTS = {
         "park_rotate",
         "pipeline_clarke_park",
         "pipeline_locus",
+        "span_response",
     ),
     "waveform": (
         "PhasorScenario",

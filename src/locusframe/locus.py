@@ -25,7 +25,6 @@ from .waveform import (
     Triple,
     _Frozen,
     total_phases,
-    values_at,
     wrap_angle,
     TWO_PI,
 )
@@ -98,6 +97,8 @@ class LocusBasis(_Frozen):
     DEGENERACY_RTOL, then LocusError on a theta_o that is not finite; g is
     2ab/(a^2 + b^2) for the ellipse's semi-axes a, b at every orientation,
     and cond([e1 e2 e3]) is about 2/g for a locus of unit size.
+    e1 x e2 takes its terms in np.cross's order and each norm is the square
+    root of the plain sum of squares x*x + y*y + z*z, bit for bit.
     """
 
     __slots__ = ("vectors", "theta_o", "degeneracy", "norms")
@@ -116,8 +117,10 @@ class LocusBasis(_Frozen):
             raise LocusError(
                 f"basis vector not finite or above {bound:.0e}: e1 = {list(e1)}, e2 = {list(e2)}"
             )
-        cross = cx, cy, cz = _cross(e1, e2)
-        n1, n2, cross_norm = _norm(e1), _norm(e2), _norm(cross)
+        cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+        n1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+        n2 = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
+        cross_norm = math.sqrt(cx * cx + cy * cy + cz * cz)
         if n1 <= DEGENERACY_ATOL or n2 <= DEGENERACY_ATOL:
             g = degeneracy = 0.0
         else:
@@ -140,20 +143,15 @@ class LocusBasis(_Frozen):
 
 
 def basis_vectors(segment: ScenarioSegment, theta_o: float) -> tuple[Triple, Triple]:
-    """In-plane basis e1 = v(theta_o), e2 = v(theta_o + pi/2), as float triples."""
-    return values_at(segment, theta_o), values_at(segment, theta_o + 0.5 * math.pi)
-
-
-def _cross(u, v) -> Triple:
-    """u x v of two float triples, the terms in np.cross's order."""
-    (x1, y1, z1), (x2, y2, z2) = u, v
-    return (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
-
-
-def _norm(v) -> float:
-    """||v|| of a float triple: the square root of the plain sum of squares."""
-    x, y, z = v
-    return math.sqrt(x * x + y * y + z * z)
+    """In-plane basis e1 = v(theta_o), e2 = v(theta_o + pi/2), as float triples: the
+    products and cosines of waveform.values_at at both angles, in its order."""
+    va, vb, vc = segment.amplitudes
+    qa, qb, qc = total_phases(segment)
+    quarter = theta_o + 0.5 * math.pi
+    return (
+        (va * math.cos(theta_o + qa), vb * math.cos(theta_o + qb), vc * math.cos(theta_o + qc)),
+        (va * math.cos(quarter + qa), vb * math.cos(quarter + qb), vc * math.cos(quarter + qc)),
+    )
 
 
 def theta_phase_a_peak(segment: ScenarioSegment) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .locus import LocusBasis, _cross
+from .locus import LocusBasis
 from .waveform import TransformedSeries, Triple
 
 # not called in the package; benchmark/tracer.py wraps these names here until it wraps
@@ -60,8 +60,9 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
     With ``normalized`` the in-plane columns are rescaled to unit vectors, so
     mapped coordinates keep the amplitudes ||e1|| and ||e2|| instead of 1.
     The forward rows are the reciprocal basis (e2 x e3, e3 x e1, e1 x e2) / det,
-    with det expanded along the first row of the inverse.  A LocusBasis is
-    valid by construction, so the determinant is never zero.
+    each cross product with its terms in np.cross's order, and det expanded
+    along the first row of the inverse.  A LocusBasis is valid by construction,
+    so the determinant is never zero.
     """
     e1, e2, e3 = basis.vectors
     if normalized:
@@ -69,8 +70,11 @@ def assemble(basis: LocusBasis, normalized: bool = False) -> FrameTransform:
         (x1, y1, z1), (x2, y2, z2) = e1, e2
         e1 = (x1 / n1, y1 / n1, z1 / n1)
         e2 = (x2 / n2, y2 / n2, z2 / n2)
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = _cross(e2, e3), _cross(e3, e1), _cross(e1, e2)
-    det = e1[0] * a1 + e2[0] * b1 + e3[0] * c1
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = e1, e2, e3
+    a1, a2, a3 = y2 * z3 - z2 * y3, z2 * x3 - x2 * z3, x2 * y3 - y2 * x3
+    b1, b2, b3 = y3 * z1 - z3 * y1, z3 * x1 - x3 * z1, x3 * y1 - y3 * x1
+    c1, c2, c3 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+    det = x1 * a1 + x2 * b1 + x3 * c1
     return FrameTransform(
         rows=(
             (a1 / det, a2 / det, a3 / det),
@@ -87,7 +91,24 @@ def apply(transform: FrameTransform, triple) -> np.ndarray:
     """Map an abc triple (or a (3, n) block of triples) into frame coordinates."""
     import numpy as np
 
-    return transform.forward @ np.asarray(triple, dtype=float)
+    return np.array(transform.rows) @ np.asarray(triple, dtype=float)
+
+
+def span_response(rows, phasors) -> tuple[complex, float, float]:
+    """(mean, ripple, null_peak) of the dq0 output of a 3x3 forward map over a segment.
+
+    ``rows`` are the map's rows (FrameTransform.rows, or Clarke's) and ``phasors``
+    the segment's P (sequence.to_phasors), so the mapped signal is Re(u e^{j theta})
+    with u = rows @ P.  After park_rotate at the same angle,
+    d + jq = (u1 + j u2)/2 + conj(u1 - j u2)/2 e^{-2j theta} and the third channel
+    is Re(u3 e^{j theta}).  So the mean of d + jq over whole half periods is
+    (u1 + j u2)/2, and over half a period or more the peak-to-peak of d, and of q,
+    is |u1 - j u2| and the peak of the third channel is |u3|.  For the segment's own locus frame the last two
+    vanish and the mean is e^{-j theta_o}; for Clarke they are 2|V-| and |V0|.
+    """
+    pa, pb, pc = phasors
+    u1, u2, u3 = (x * pa + y * pb + z * pc for x, y, z in rows)
+    return (u1 + 1j * u2) / 2.0, abs(u1 - 1j * u2), abs(u3)
 
 
 def clarke_matrix() -> np.ndarray:

@@ -182,8 +182,8 @@ def values_at(segment: ScenarioSegment, angle: float) -> Triple:
     """(v_a, v_b, v_c) of a segment at one electrical angle, as floats.
 
     v_k = V_k cos(angle + phi_k + s_k) with s = (0, -2pi/3, +2pi/3), from
-    ``math.cos``: the per-segment kernel of the basis vectors, which runs
-    without numpy.  Sampled values come from :func:`evaluate_scenario`.
+    ``math.cos`` without numpy, in the order of locus.basis_vectors' e1 and e2.
+    Sampled values come from :func:`evaluate_scenario`.
     The angle is not checked, unlike in :func:`segment_at`: NaN gives NaN
     values and an infinite angle raises math's ValueError.
     """

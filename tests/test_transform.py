@@ -1,5 +1,6 @@
 """3x3 frame algebra, Clarke/Park, and the sampled pipelines."""
 
+import cmath
 import math
 
 import numpy as np
@@ -19,9 +20,12 @@ from locusframe import (
     build_basis,
     clarke_matrix,
     evaluate,
+    fortescue,
     park_rotate,
     pipeline_clarke_park,
     pipeline_locus,
+    span_response,
+    to_phasors,
 )
 from locusframe.transform import map_rotate
 from locusframe.waveform import _CHUNK_ROWS, TWO_PI, sample_angles
@@ -243,19 +247,6 @@ class TestPark:
             assert d == pytest.approx(np.full(40, math.cos(theta_o)), abs=1e-12)
             assert q == pytest.approx(np.full(40, -math.sin(theta_o)), abs=1e-12)
 
-    def test_q_equals_the_negated_sine_form(self):
-        # q = c*y - s*x is -s*x + c*y bit for bit, signed zeros included
-        values = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 1e-300, -1e-300]
-        angles = [0.0, -0.0, math.pi / 2.0, -math.pi / 2.0, math.pi, 1.0, -2.0, 3.0]
-        x, y, theta = (a.ravel() for a in np.meshgrid(values, values, angles))
-        # the whole grid as arrays, then each point as scalars
-        for angle, (u, v) in [(theta, (x, y))] + list(zip(theta, zip(x, y))):
-            c, s = np.cos(angle), np.sin(angle)
-            d, q = park_rotate(angle, (u, v))
-            for got, expected in ((d, c * u + s * v), (q, -s * u + c * v)):
-                assert np.array_equal(got, expected)
-                assert np.array_equal(np.signbit(got), np.signbit(expected))
-
 
 class TestTransformedSeries:
     def test_shape_checked(self):
@@ -320,6 +311,74 @@ def test_map_rotate_equals_apply_then_park_rotate(unbalanced_segment, n):
         d, q = park_rotate(angles, (expected[0], expected[1]))
         assert np.array_equal(mapped, expected)
         assert np.array_equal(dq0, np.vstack([d, q, expected[2]]))
+
+
+class TestSpanResponse:
+    #: samples per period of the sampled dq0 that the closed form is checked against
+    RATE = 4000
+
+    def _sampled(self, rows, segment, start):
+        """(mean of d + jq, peak-to-peak of d, of q, peak |third channel|) over one
+        period from start, sampled at RATE per period through map_rotate."""
+        angles = start + np.arange(self.RATE) * (TWO_PI / self.RATE)
+        ((_, (d, q, null)),) = map_rotate(angles, evaluate(segment, angles), [np.array(rows)])
+        return complex(d.mean(), q.mean()), np.ptp(d), np.ptp(q), np.abs(null).max()
+
+    def test_equals_sampled_map_rotate(self):
+        # random frames (locus frames, normalized ones, Clarke and arbitrary 3x3 maps)
+        # over random segments; a sampled peak misses the true one by at most
+        # (1 - cos h) of the swing, h = 2 pi / RATE, and a whole-period mean of the
+        # second harmonic is zero up to rounding
+        rng = np.random.default_rng(3803)
+        step = TWO_PI / self.RATE
+        for k in range(120):
+            segment = support.random_segment(rng)
+            kind = k % 4
+            if kind == 0:
+                rows = clarke_matrix().tolist()
+            elif kind == 3:
+                rows = rng.normal(size=(3, 3)).tolist()
+            else:
+                orientation = (PHASE_A_PEAK, MAX_NORM, rng.uniform(-math.pi, math.pi))[k % 3]
+                other = support.random_nondegenerate_segment(rng, orientation)
+                rows = assemble(build_basis(other, orientation), normalized=kind == 2).rows
+            mean, ripple, null_peak = span_response(rows, to_phasors(segment))
+            sampled_mean, d_swing, q_swing, sampled_null = self._sampled(
+                rows, segment, rng.uniform(0.0, 20.0)
+            )
+            scale = sum(abs(x) for row in rows for x in row)
+            assert abs(sampled_mean - mean) <= 1e-12 * scale
+            for swing in (d_swing, q_swing):
+                assert abs(swing - ripple) <= step * step * ripple + 1e-12 * scale
+            assert abs(sampled_null - null_peak) <= step * step * null_peak + 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["phase-a-peak", "max-norm", "explicit"])
+    def test_own_locus_frame_is_constant(self, kind):
+        # the paper's claim over a segment: its own locus frame gives d + jq constant
+        # at e^{-j theta_o} and a null third channel, to 1e-12 relative
+        rng = np.random.default_rng(3804)
+        for _ in range(200):
+            orientation = {"phase-a-peak": PHASE_A_PEAK, "max-norm": MAX_NORM}.get(
+                kind, rng.uniform(-math.pi, math.pi)
+            )
+            segment = support.random_nondegenerate_segment(rng, orientation, floor=0.01)
+            frame = assemble(build_basis(segment, orientation))
+            mean, ripple, null_peak = span_response(frame.rows, to_phasors(segment))
+            assert abs(mean - cmath.exp(-1j * frame.theta_o)) <= 1e-12
+            assert ripple <= 1e-12 * abs(mean)
+            assert null_peak <= 1e-12 * abs(mean)
+
+    def test_clarke_response_is_the_sequence_content(self, step_scenario):
+        # for Clarke, |u1 - j u2| = 2|V-| and |u3| = |V0|; on the stock scenario the
+        # balanced first segment has neither
+        rows = clarke_matrix().tolist()
+        for segment in step_scenario.segments:
+            components = fortescue(to_phasors(segment))
+            _, ripple, null_peak = span_response(rows, to_phasors(segment))
+            assert ripple == pytest.approx(2.0 * abs(components.negative), abs=1e-15)
+            assert null_peak == pytest.approx(abs(components.zero), abs=1e-15)
+        _, ripple, null_peak = span_response(rows, to_phasors(step_scenario.segments[1]))
+        assert (round(ripple, 4), round(null_peak, 4)) == (0.4391, 0.4084)
 
 
 class TestPipelineClarkePark:
